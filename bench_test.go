@@ -13,12 +13,8 @@ import (
 	"testing"
 
 	"intango/internal/core"
-	"intango/internal/dpi"
 	"intango/internal/experiment"
-	"intango/internal/gfw"
 	"intango/internal/ignorepath"
-	"intango/internal/netem"
-	"intango/internal/packet"
 )
 
 // benchScale keeps per-iteration work bounded while covering all 11
@@ -199,83 +195,27 @@ func BenchmarkAblation(b *testing.B) {
 }
 
 // --- substrate micro-benchmarks ---
+//
+// The bodies live in internal/experiment so `make bench` records the
+// same measurements in BENCH_netem.json's layers block.
 
 // BenchmarkPacketSerialize measures TCP packet serialization with
 // checksums.
-func BenchmarkPacketSerialize(b *testing.B) {
-	p := packet.NewTCP(packet.AddrFrom4(10, 0, 0, 1), 4000, packet.AddrFrom4(203, 0, 113, 80), 80,
-		packet.FlagPSH|packet.FlagACK, 1000, 2000, make([]byte, 512))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = p.Serialize(packet.SerializeOptions{ComputeChecksums: true, FixLengths: true})
-	}
-}
+func BenchmarkPacketSerialize(b *testing.B) { experiment.BenchPacketSerialize(b) }
 
 // BenchmarkPacketParse measures wire-format parsing.
-func BenchmarkPacketParse(b *testing.B) {
-	p := packet.NewTCP(packet.AddrFrom4(10, 0, 0, 1), 4000, packet.AddrFrom4(203, 0, 113, 80), 80,
-		packet.FlagPSH|packet.FlagACK, 1000, 2000, make([]byte, 512))
-	wire := p.Serialize(packet.SerializeOptions{ComputeChecksums: true, FixLengths: true})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := packet.Parse(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkPacketParse(b *testing.B) { experiment.BenchPacketParse(b) }
 
 // BenchmarkDPIScan measures the Aho–Corasick engine over a 1 KiB
 // payload with a realistic keyword list.
-func BenchmarkDPIScan(b *testing.B) {
-	keywords := []string{"ultrasurf", "falun", "freegate", "dynaweb", "tiananmen", "vpn over tcp"}
-	m := dpi.NewMatcher(keywords)
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte('a' + i%26)
-	}
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if m.Contains(payload) {
-			b.Fatal("unexpected match")
-		}
-	}
-}
+func BenchmarkDPIScan(b *testing.B) { experiment.BenchDPIScan(b) }
 
 // BenchmarkGFWProcessPacket measures the per-packet cost of the
 // evolved device's tap path.
-func BenchmarkGFWProcessPacket(b *testing.B) {
-	sim := netem.NewSimulator(1)
-	dev := gfw.NewDevice("gfw", gfw.Config{Model: gfw.ModelEvolved2017, Keywords: []string{"ultrasurf"}}, sim.Rand())
-	path := &netem.Path{Sim: sim}
-	path.Hops = []*netem.Hop{{Name: "r", Router: true}}
-	ctx := &netem.Context{Sim: sim, Net: path, HopIndex: 0}
-	cli, srv := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(203, 0, 113, 80)
-	syn := packet.NewTCP(cli, 4000, srv, 80, packet.FlagSYN, 100, 0, nil)
-	dev.Process(ctx, syn, netem.ToServer)
-	data := packet.NewTCP(cli, 4000, srv, 80, packet.FlagACK, 101, 1, make([]byte, 256))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data.TCP.Seq = packet.Seq(101 + i*256)
-		dev.Process(ctx, data, netem.ToServer)
-	}
-}
+func BenchmarkGFWProcessPacket(b *testing.B) { experiment.BenchGFWProcessPacket(b) }
 
 // BenchmarkSimulatorEvents measures raw event throughput.
-func BenchmarkSimulatorEvents(b *testing.B) {
-	sim := netem.NewSimulator(1)
-	b.ReportAllocs()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			sim.At(1, tick)
-		}
-	}
-	sim.At(1, tick)
-	sim.Run(b.N + 1)
-}
+func BenchmarkSimulatorEvents(b *testing.B) { experiment.BenchSimulatorEvents(b) }
 
 // BenchmarkEvasionTrial measures one complete protected fetch
 // (handshake, strategy volley, detection-free response).

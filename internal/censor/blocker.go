@@ -78,7 +78,7 @@ func NewBlocker(name string, cfg BlockerConfig, rng *rand.Rand) *Blocker {
 	return &Blocker{
 		name:      name,
 		cfg:       cfg,
-		matcher:   dpi.NewMatcher(cfg.Keywords),
+		matcher:   dpi.SharedMatcher(cfg.Keywords),
 		pairBlock: make(map[[2]packet.Addr]time.Duration),
 		Stats:     make(map[string]int),
 	}

@@ -2,11 +2,13 @@ package censor
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
 	"intango/internal/appsim"
 	"intango/internal/dnsmsg"
+	"intango/internal/dpi"
 	"intango/internal/netem"
 	"intango/internal/packet"
 	"intango/internal/tcpstack"
@@ -202,5 +204,20 @@ func TestBlockerInstanceSurface(t *testing.T) {
 	}
 	if r.blk.Name() != "blk" || !bytes.Contains([]byte(r.blk.Filter().Name()), []byte("blk")) {
 		t.Fatalf("names = %q / %q", r.blk.Name(), r.blk.Filter().Name())
+	}
+}
+
+func TestBlockerSharesAutomaton(t *testing.T) {
+	// The same list TestDevicesShareAutomaton (internal/gfw) gives its
+	// devices.
+	keywords := []string{"ultrasurf", "freegate"}
+	rng := rand.New(rand.NewSource(1))
+	a := NewBlocker("a", BlockerConfig{Keywords: keywords}, rng)
+	b := NewBlocker("b", BlockerConfig{Keywords: []string{"ultrasurf", "freegate"}}, rng)
+	if a.matcher != b.matcher || a.matcher != dpi.SharedMatcher(keywords) {
+		t.Fatal("blockers with equal keyword lists built separate automata")
+	}
+	if c := NewBlocker("c", BlockerConfig{Keywords: []string{"falun"}}, rng); c.matcher == a.matcher {
+		t.Fatal("a different keyword list shares the automaton")
 	}
 }

@@ -5,6 +5,11 @@
 // OpenVPN-over-TCP.
 package dpi
 
+import (
+	"slices"
+	"sync"
+)
+
 // Matcher is an Aho–Corasick automaton over byte strings. Matching is
 // case-insensitive (ASCII), since censorship keyword lists are.
 type Matcher struct {
@@ -24,7 +29,8 @@ func lower(b byte) byte {
 }
 
 // NewMatcher builds an automaton for the given patterns. Empty patterns
-// are ignored.
+// are ignored. Censor devices use SharedMatcher, which builds through
+// here once per keyword list.
 func NewMatcher(patterns []string) *Matcher {
 	m := &Matcher{}
 	m.addNode()
@@ -70,6 +76,57 @@ func NewMatcher(patterns []string) *Matcher {
 	return m
 }
 
+// maxShared bounds the SharedMatcher memo. Campaigns use a handful of
+// keyword lists; past this many distinct lists (a fuzzer, say) the
+// automaton is built without caching so the memo cannot grow forever.
+const maxShared = 16
+
+// sharedEntry is one memoized automaton and the list it was built from.
+type sharedEntry struct {
+	patterns []string
+	m        *Matcher
+}
+
+// shared is the SharedMatcher memo.
+var shared struct {
+	mu      sync.RWMutex
+	entries []sharedEntry
+}
+
+// SharedMatcher returns the automaton for patterns, building it only the
+// first time a given list is seen. The automaton is immutable once
+// built and scan state lives in the caller (Contains/Scan locals or a
+// StreamScanner), so every device, trial and goroutine using the same
+// keyword list can share one.
+func SharedMatcher(patterns []string) *Matcher {
+	shared.mu.RLock()
+	m := lookupShared(patterns)
+	shared.mu.RUnlock()
+	if m != nil {
+		return m
+	}
+	shared.mu.Lock()
+	defer shared.mu.Unlock()
+	if m := lookupShared(patterns); m != nil {
+		return m
+	}
+	m = NewMatcher(patterns)
+	if len(shared.entries) < maxShared {
+		shared.entries = append(shared.entries, sharedEntry{patterns: slices.Clone(patterns), m: m})
+	}
+	return m
+}
+
+// lookupShared finds patterns in the memo; the caller holds shared.mu.
+func lookupShared(patterns []string) *Matcher {
+	for _, e := range shared.entries {
+		if slices.Equal(e.patterns, patterns) {
+			return e.m
+		}
+	}
+	return nil
+}
+
 func (m *Matcher) addNode() int32 {
 	m.next = append(m.next, [256]int32{})
 	m.fail = append(m.fail, 0)
@@ -110,7 +167,8 @@ func (m *Matcher) Contains(data []byte) bool {
 	return false
 }
 
-// Patterns returns the patterns the matcher was built with.
+// Patterns returns the patterns the matcher was built with. The slice
+// is the automaton's own (and may be shared); do not modify it.
 func (m *Matcher) Patterns() []string { return m.patterns }
 
 // StreamScanner runs a Matcher incrementally over a byte stream,

@@ -3,7 +3,9 @@ package dpi
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -180,6 +182,80 @@ func TestProtocolStrings(t *testing.T) {
 	for _, p := range []Protocol{ProtoUnknown, ProtoHTTP, ProtoDNSTCP, ProtoTLS, ProtoTor, ProtoOpenVPN} {
 		if p.String() == "" {
 			t.Fatal("empty protocol name")
+		}
+	}
+}
+
+func TestSharedMatcherMemoizes(t *testing.T) {
+	a := SharedMatcher([]string{"ultrasurf", "falun"})
+	b := SharedMatcher([]string{"ultrasurf", "falun"})
+	if a != b {
+		t.Fatal("equal keyword lists built two automata")
+	}
+	if c := SharedMatcher([]string{"falun", "ultrasurf"}); c == a {
+		t.Fatal("a different keyword list shares the automaton")
+	}
+	if !a.Contains([]byte("GET /?q=UltraSurf")) {
+		t.Fatal("shared matcher misses its keyword")
+	}
+}
+
+func TestSharedMatcherCopiesKey(t *testing.T) {
+	list := []string{"copied-key"}
+	m := SharedMatcher(list)
+	list[0] = "mutated"
+	if SharedMatcher([]string{"copied-key"}) != m {
+		t.Fatal("mutating the caller's slice changed the memo key")
+	}
+}
+
+func TestSharedMatcherBounded(t *testing.T) {
+	// Restore the memo afterwards so test order does not matter.
+	saved := slices.Clone(shared.entries)
+	defer func() { shared.entries = saved }()
+	for i := 0; len(shared.entries) < maxShared; i++ {
+		SharedMatcher([]string{"fill", strings.Repeat("x", i+1)})
+	}
+	fresh := []string{"never-cached-before"}
+	if SharedMatcher(fresh) == SharedMatcher(fresh) {
+		t.Fatal("memo cached a list past its bound")
+	}
+	if n := len(shared.entries); n != maxShared {
+		t.Fatalf("memo holds %d entries, bound %d", n, maxShared)
+	}
+}
+
+// TestSharedMatcherConcurrentScans scans one shared automaton from many
+// goroutines, each with its own StreamScanner; run under -race it
+// proves the automaton is read-only after construction.
+func TestSharedMatcherConcurrentScans(t *testing.T) {
+	keywords := []string{"ultrasurf", "freegate", "tiananmen"}
+	stream := []byte("GET /search?q=freeg" + "ate&x=ultra" + "surf HTTP/1.1\r\n\r\n")
+	done := make(chan error)
+	const workers = 8
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			m := SharedMatcher(keywords)
+			for i := 0; i < 200; i++ {
+				sc := m.NewStreamScanner()
+				var got []string
+				for off := 0; off < len(stream); off += 1 + (w+i)%7 {
+					end := min(off+1+(w+i)%7, len(stream))
+					for _, mt := range sc.Feed(stream[off:end]) {
+						got = append(got, mt.Pattern)
+					}
+				}
+				if strings.Join(got, ",") != "freegate,ultrasurf" || !m.Contains(stream) {
+					done <- fmt.Errorf("worker %d: matches %v", w, got)
+					return
+				}
+			}
+			done <- nil
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-done; err != nil {
+			t.Error(err)
 		}
 	}
 }

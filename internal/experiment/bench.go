@@ -11,10 +11,14 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
 	"intango/internal/core"
+	"intango/internal/dpi"
+	"intango/internal/gfw"
+	"intango/internal/netem"
 	"intango/internal/packet"
 )
 
@@ -102,6 +106,12 @@ type BenchReport struct {
 
 	// Pool is the serial campaign runner's packet-pool traffic.
 	Pool BenchPoolStats `json:"pool"`
+
+	// Layers holds the substrate micro-benchmarks (event dispatch, DPI
+	// scan, censor per-packet processing, packet serialize/parse) by
+	// benchmark name, so a trial-level change can be attributed to the
+	// layer that moved. Absent from older reports.
+	Layers map[string]BenchResult `json:"layers,omitempty"`
 
 	// AllocReductionPct is 100*(1 - trial allocs / baseline trial
 	// allocs): the headline number the pooling work is judged by.
@@ -198,6 +208,11 @@ func RunBench(seed int64) BenchReport {
 	})
 	rep.CampaignParallel = toBenchResult(parallelRes, rep.TrialsPerCampaignOp)
 
+	rep.Layers = make(map[string]BenchResult, len(layerBenchmarks))
+	for _, l := range layerBenchmarks {
+		rep.Layers[l.name] = toBenchResult(testing.Benchmark(l.fn), 0)
+	}
+
 	if base := rep.Baseline.Trial.AllocsPerOp; base > 0 {
 		rep.AllocReductionPct = 100 * (1 - float64(rep.Trial.AllocsPerOp)/float64(base))
 	}
@@ -283,6 +298,9 @@ func FormatBenchReport(rep BenchReport) string {
 		safePct(rep.Pool.Recycled, rep.Pool.Gets))
 	fmt.Fprintf(&b, "  %-18s %.1f%% fewer allocs per trial than the pre-pooling seed\n",
 		"headline", rep.AllocReductionPct)
+	for _, name := range layerNames(rep, BenchReport{}) {
+		benchLine(&b, name, rep.Layers[name], BenchResult{}) // no pre-PR layer baseline
+	}
 	return b.String()
 }
 
@@ -318,5 +336,122 @@ func CompareBenchReports(oldRep, newRep BenchReport) string {
 			oldRep.CampaignParallel.TrialsPerSec, newRep.CampaignParallel.TrialsPerSec,
 			strings.TrimSpace(pctDelta(oldRep.CampaignParallel.TrialsPerSec, newRep.CampaignParallel.TrialsPerSec)))
 	}
+	for _, name := range layerNames(oldRep, newRep) {
+		row(name, oldRep.Layers[name], newRep.Layers[name])
+	}
 	return b.String()
+}
+
+// layerNames returns the layer benchmarks present in either report,
+// sorted.
+func layerNames(a, b BenchReport) []string {
+	var names []string
+	for name := range a.Layers {
+		names = append(names, name)
+	}
+	for name := range b.Layers {
+		if _, ok := a.Layers[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// --- layer benchmarks ---
+//
+// The substrate micro-benchmarks behind BenchReport.Layers. The root
+// package's Benchmark* functions of the same names call these, so `go
+// test -bench` and `make bench` measure the same code.
+
+// layerBenchmarks lists the layer benchmarks by report key.
+var layerBenchmarks = []struct {
+	name string
+	fn   func(*testing.B)
+}{
+	{"SimulatorEvents", BenchSimulatorEvents},
+	{"DPIScan", BenchDPIScan},
+	{"GFWProcessPacket", BenchGFWProcessPacket},
+	{"PacketSerialize", BenchPacketSerialize},
+	{"PacketParse", BenchPacketParse},
+}
+
+func benchTCP() *packet.Packet {
+	return packet.NewTCP(packet.AddrFrom4(10, 0, 0, 1), 4000, packet.AddrFrom4(203, 0, 113, 80), 80,
+		packet.FlagPSH|packet.FlagACK, 1000, 2000, make([]byte, 512))
+}
+
+// BenchPacketSerialize measures TCP packet serialization with
+// checksums.
+func BenchPacketSerialize(b *testing.B) {
+	p := benchTCP()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = p.Serialize(packet.SerializeOptions{ComputeChecksums: true, FixLengths: true})
+	}
+}
+
+// BenchPacketParse measures wire-format parsing.
+func BenchPacketParse(b *testing.B) {
+	wire := benchTCP().Serialize(packet.SerializeOptions{ComputeChecksums: true, FixLengths: true})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := packet.Parse(wire); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchDPIScan measures the Aho–Corasick engine over a 1 KiB payload
+// with a realistic keyword list.
+func BenchDPIScan(b *testing.B) {
+	keywords := []string{"ultrasurf", "falun", "freegate", "dynaweb", "tiananmen", "vpn over tcp"}
+	m := dpi.NewMatcher(keywords)
+	payload := make([]byte, 1024)
+	for i := range payload {
+		payload[i] = byte('a' + i%26)
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if m.Contains(payload) {
+			b.Fatal("unexpected match")
+		}
+	}
+}
+
+// BenchGFWProcessPacket measures the per-packet cost of the evolved
+// device's tap path.
+func BenchGFWProcessPacket(b *testing.B) {
+	sim := netem.NewSimulator(1)
+	dev := gfw.NewDevice("gfw", gfw.Config{Model: gfw.ModelEvolved2017, Keywords: []string{"ultrasurf"}}, sim.Rand())
+	path := &netem.Path{Sim: sim}
+	path.Hops = []*netem.Hop{{Name: "r", Router: true}}
+	ctx := &netem.Context{Sim: sim, Net: path, HopIndex: 0}
+	cli, srv := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(203, 0, 113, 80)
+	syn := packet.NewTCP(cli, 4000, srv, 80, packet.FlagSYN, 100, 0, nil)
+	dev.Process(ctx, syn, netem.ToServer)
+	data := packet.NewTCP(cli, 4000, srv, 80, packet.FlagACK, 101, 1, make([]byte, 256))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		data.TCP.Seq = packet.Seq(101 + i*256)
+		dev.Process(ctx, data, netem.ToServer)
+	}
+}
+
+// BenchSimulatorEvents measures raw event throughput: a chain of
+// self-rescheduling closures.
+func BenchSimulatorEvents(b *testing.B) {
+	sim := netem.NewSimulator(1)
+	b.ReportAllocs()
+	n := 0
+	var tick func()
+	tick = func() {
+		n++
+		if n < b.N {
+			sim.At(1, tick)
+		}
+	}
+	sim.At(1, tick)
+	sim.Run(b.N + 1)
 }

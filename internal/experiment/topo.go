@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"intango/internal/censor"
@@ -36,12 +35,6 @@ type topoKey struct {
 	fw           bool
 	loss         float64
 }
-
-var (
-	topoMu       sync.RWMutex
-	topoPrograms = make(map[topoKey]*topo.Program)
-	topoOverride = make(map[string]*topo.Program)
-)
 
 // derivedSpec builds the canonical linear spec for a shape key:
 // client — r0..r(hops-1) — server, 1 ms symmetric links, access-link
@@ -109,15 +102,17 @@ func shapeKey(vp VantagePoint, srv Server, hops int) topoKey {
 
 // program returns the compiled Program for a trial: the cached derived
 // linear program, or the parsed Runner.Topo override. Programs are
-// immutable and shared across trials and workers.
+// immutable and shared across the runner's trials and workers; the
+// caches live on the runner, so they are bounded by its population
+// (one derived program per path shape) and die with it.
 func (r *Runner) program(vp VantagePoint, srv Server, hops int) *topo.Program {
 	if r.Topo != "" {
-		return overrideProgram(r.Topo)
+		return r.overrideProgram(r.Topo)
 	}
 	key := shapeKey(vp, srv, hops)
-	topoMu.RLock()
-	prog := topoPrograms[key]
-	topoMu.RUnlock()
+	r.topoMu.RLock()
+	prog := r.topoPrograms[key]
+	r.topoMu.RUnlock()
 	if prog != nil {
 		return prog
 	}
@@ -128,19 +123,22 @@ func (r *Runner) program(vp VantagePoint, srv Server, hops int) *topo.Program {
 	if !prog.Linear() {
 		panic("experiment: derived topology did not take the linear fast path")
 	}
-	topoMu.Lock()
-	topoPrograms[key] = prog
-	topoMu.Unlock()
+	r.topoMu.Lock()
+	if r.topoPrograms == nil {
+		r.topoPrograms = make(map[topoKey]*topo.Program)
+	}
+	r.topoPrograms[key] = prog
+	r.topoMu.Unlock()
 	return prog
 }
 
 // overrideProgram parses and caches an explicit Runner.Topo spec. An
 // invalid override is a configuration error and panics with the parse
 // or validation message.
-func overrideProgram(text string) *topo.Program {
-	topoMu.RLock()
-	prog := topoOverride[text]
-	topoMu.RUnlock()
+func (r *Runner) overrideProgram(text string) *topo.Program {
+	r.topoMu.RLock()
+	prog := r.topoOverride[text]
+	r.topoMu.RUnlock()
 	if prog != nil {
 		return prog
 	}
@@ -152,9 +150,12 @@ func overrideProgram(text string) *topo.Program {
 	if err != nil {
 		panic(fmt.Sprintf("experiment: Runner.Topo: %v", err))
 	}
-	topoMu.Lock()
-	topoOverride[text] = prog
-	topoMu.Unlock()
+	r.topoMu.Lock()
+	if r.topoOverride == nil {
+		r.topoOverride = make(map[string]*topo.Program)
+	}
+	r.topoOverride[text] = prog
+	r.topoMu.Unlock()
 	return prog
 }
 
@@ -214,7 +215,7 @@ func FormatTopoDemo(seed int64) string {
 	}
 	var b strings.Builder
 	b.WriteString("== ECMP multi-device demo (graph fabric) ==\n")
-	b.WriteString("spec:\n  " + overrideProgram(GraphDemoTopo).Spec().String() + "\n")
+	b.WriteString("spec:\n  " + r.overrideProgram(GraphDemoTopo).Spec().String() + "\n")
 	b.WriteString("compiled:\n  " + fab.Describe() + "\n")
 	b.WriteString("per-flow routes (hash-based ECMP, seed pinned in spec):\n")
 	via := map[string]int{}

@@ -154,3 +154,39 @@ func TestGraphTopoCampaign(t *testing.T) {
 		}
 	}
 }
+
+// TestTopoCacheBoundedByRunner pins the compiled-topology caches to
+// their runner: a campaign fills only its own runner's cache, with at
+// most one derived program per path shape of its population, and a
+// second runner starts empty.
+func TestTopoCacheBoundedByRunner(t *testing.T) {
+	sc := Scale{VPs: 2, Servers: 3, Trials: 2}
+	r := NewRunner(5)
+	RunTable1(r, sc)
+	shapes := map[topoKey]bool{}
+	for _, vp := range VantagePoints()[:sc.VPs] {
+		for _, srv := range Servers(sc.Servers, r.Cal, r.Seed) {
+			// Route dynamics move the hop count by ±2.
+			for _, d := range []int{-2, 0, 2} {
+				shapes[shapeKey(vp, srv, max(srv.Hops+d, 1))] = true
+			}
+		}
+	}
+	if n := len(r.topoPrograms); n == 0 || n > len(shapes) {
+		t.Fatalf("runner caches %d derived programs, population has %d shapes", n, len(shapes))
+	}
+	for key := range r.topoPrograms {
+		if !shapes[key] {
+			t.Fatalf("cached shape %+v is outside the runner's population", key)
+		}
+	}
+	other := NewRunner(6)
+	if len(other.topoPrograms) != 0 || len(other.topoOverride) != 0 {
+		t.Fatal("a fresh runner sees another runner's compiled programs")
+	}
+	other.Topo = GraphDemoTopo
+	RunTable1(other, Scale{VPs: 1, Servers: 1, Trials: 1})
+	if len(other.topoOverride) != 1 || len(r.topoOverride) != 0 {
+		t.Fatalf("override caches: %d on its runner, %d on another", len(other.topoOverride), len(r.topoOverride))
+	}
+}

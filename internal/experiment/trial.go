@@ -119,6 +119,13 @@ type Runner struct {
 	// PoolStats can aggregate them with the shared pool.
 	poolMu      sync.Mutex
 	workerPools []*packet.Pool
+
+	// topoMu guards the compiled-topology caches (topo.go): derived
+	// linear programs by path shape, and parsed Runner.Topo overrides
+	// by spec text.
+	topoMu       sync.RWMutex
+	topoPrograms map[topoKey]*topo.Program
+	topoOverride map[string]*topo.Program
 }
 
 // packetPool returns the runner's shared packet pool (nil when pooling

@@ -83,7 +83,7 @@ func NewDevice(name string, cfg Config, rng *rand.Rand) *Device {
 		name:      name,
 		cfg:       cfg,
 		rng:       rng,
-		matcher:   dpi.NewMatcher(cfg.Keywords),
+		matcher:   dpi.SharedMatcher(cfg.Keywords),
 		tcbs:      make(map[packet.FourTuple]*tcb),
 		frag:      packet.NewReassembler(packet.FirstWins),
 		pairBlock: make(map[[2]packet.Addr]time.Duration),

@@ -2,12 +2,14 @@ package gfw
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"intango/internal/appsim"
 	"intango/internal/dnsmsg"
+	"intango/internal/dpi"
 	"intango/internal/netem"
 	"intango/internal/packet"
 	"intango/internal/tcpstack"
@@ -635,5 +637,23 @@ func TestResponseCensorshipDetectsLocationHeader(t *testing.T) {
 	}
 	if !c.GotRST {
 		t.Fatal("response censorship should reset the connection")
+	}
+}
+
+// sharedKeywords is the list TestBlockerSharesAutomaton (internal/censor)
+// also uses: both tests pin their devices to dpi.SharedMatcher of it,
+// so GFW devices and blockers with equal lists scan one automaton.
+var sharedKeywords = []string{"ultrasurf", "freegate"}
+
+func TestDevicesShareAutomaton(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	a := NewDevice("a", Config{Model: ModelEvolved2017, Keywords: sharedKeywords}, rng)
+	b := NewDevice("b", Config{Model: ModelKhattak2013, Keywords: []string{"ultrasurf", "freegate"}}, rng)
+	if a.matcher != b.matcher || a.matcher != dpi.SharedMatcher(sharedKeywords) {
+		t.Fatal("devices with equal keyword lists built separate automata")
+	}
+	c := NewDevice("c", Config{Model: ModelEvolved2017, Keywords: []string{"falun"}}, rng)
+	if c.matcher == a.matcher {
+		t.Fatal("a different keyword list shares the automaton")
 	}
 }

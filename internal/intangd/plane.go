@@ -17,8 +17,9 @@ import (
 //	/healthz   liveness
 //
 // The packet path never touches this handler: /flows reads the sharded
-// flow table, /metrics snapshots atomic counters, and only /strategy
-// briefly takes the world lock.
+// flow table, /metrics snapshots atomic counters, and only /metrics
+// (to flush the path's event counts) and /strategy briefly take the
+// world lock.
 func (p *Proxy) ServePlane(addr string) (stop func(), bound string, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -38,7 +39,7 @@ func (p *Proxy) ServePlane(addr string) (stop func(), bound string, err error) {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = p.reg.Snapshot().WriteProm(w, "intangd_")
+		_ = p.Registry().Snapshot().WriteProm(w, "intangd_")
 	})
 	mux.HandleFunc("/strategy", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {

@@ -185,8 +185,16 @@ func (p *Proxy) ClientDevice() device.Device { return p.ext }
 func (p *Proxy) ClientAddr() packet.Addr { return p.clientAddr }
 func (p *Proxy) ServerAddr() packet.Addr { return p.serverAddr }
 
-// Registry exposes the daemon's counters for the plane.
-func (p *Proxy) Registry() *obs.Registry { return p.reg }
+// Registry exposes the daemon's counters for the plane. The path keeps
+// its per-event counts (netem.send, netem.fwd, ...) off the registry on
+// the packet path, so reading it first folds them in under the world
+// lock.
+func (p *Proxy) Registry() *obs.Registry {
+	p.mu.Lock()
+	p.path.FlushCounters()
+	p.mu.Unlock()
+	return p.reg
+}
 
 // FlowViews snapshots the flow table for /flows.
 func (p *Proxy) FlowViews() []FlowView { return p.flows.Snapshot(time.Now()) }

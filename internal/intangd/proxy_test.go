@@ -114,6 +114,38 @@ func TestProxyEvadesWithStrategy(t *testing.T) {
 	}
 }
 
+// TestProxyRegistryFlushesPathCounters checks that the path's per-event
+// counts reach the daemon's registry — and so /metrics — once a fetch
+// has crossed the path.
+func TestProxyRegistryFlushesPathCounters(t *testing.T) {
+	p, hc := newWorld(t, "teardown-reversal")
+	resp, err := hc.Get("http://origin.example/")
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+
+	c := p.Registry().Snapshot().Counters
+	if c["netem.send"] == 0 || c["netem.deliver"] == 0 {
+		t.Fatalf("registry after one fetch: netem.send=%d netem.deliver=%d", c["netem.send"], c["netem.deliver"])
+	}
+	stop, addr, err := p.ServePlane("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ServePlane: %v", err)
+	}
+	defer stop()
+	mresp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatalf("scrape /metrics: %v", err)
+	}
+	body, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(body), "intangd_netem_send_total ") {
+		t.Fatalf("/metrics lacks the path counters:\n%s", body)
+	}
+}
+
 // TestProxyStrategySwitchAndBlockWindow drives the live-switch loop:
 // evade, flip the daemon to passthrough mid-run, get censored, then
 // skip the 90-second pair blocklist on the virtual clock and evade

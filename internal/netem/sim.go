@@ -24,42 +24,55 @@ type PacketHandler interface {
 // Simulator owns virtual time and the event queue. All model code runs
 // single-threaded inside Run, so no locking is needed anywhere in the
 // simulation.
+//
+// The queue is timestamp-bucketed: one FIFO per distinct pending
+// timestamp. Events scheduled for the same instant run in the order
+// they were scheduled, and instants run in time order — the (time,
+// scheduling order) total order a priority queue with a sequence
+// tie-break would give, without comparing events. Campaign trials keep
+// only a handful of distinct instants pending (injected RST volleys and
+// every router hop of a burst share theirs), so a push is a short scan
+// and a pop is O(1).
 type Simulator struct {
-	now   time.Duration
-	seq   uint64
-	steps uint64
-	queue []event
-	rng   *rand.Rand
+	now     time.Duration
+	steps   uint64
+	pending int
+	// buckets is sorted by descending time, so the earliest instant —
+	// the next to run — is last and popping an exhausted bucket is a
+	// truncation.
+	buckets []bucket
+	// slab stores every event; bucket FIFOs and the free list are
+	// linked through event.next, so steady state allocates nothing.
+	slab []event
+	free int32
+	rng  *rand.Rand
 }
 
-// event is a value type: the queue is a plain []event, so scheduling
-// never boxes (the old container/heap path allocated an interface
-// wrapper per Push/Pop). A popped slot is zeroed before reuse so the
-// backing array — which doubles as the free list — retains neither the
+// none terminates the FIFO and free-list links.
+const none = -1
+
+// bucket is the FIFO of events pending at one instant.
+type bucket struct {
+	at         time.Duration
+	head, tail int32
+}
+
+// event is one scheduled callback in the slab. A popped slot is zeroed
+// before it joins the free list, so the slab retains neither the
 // executed closure nor the delivered packet.
 type event struct {
-	at  time.Duration
-	seq uint64 // tie-break for determinism
-	fn  func()
+	fn func()
 	// Packet-event fields, used when fn is nil.
 	h    PacketHandler
 	pkt  *packet.Packet
 	from int32
+	next int32
 	dir  Direction
-}
-
-// eventLess orders events by (at, seq) — the same strict total order as
-// the old heap, so replacing the heap shape cannot reorder ties.
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // NewSimulator returns a simulator seeded for deterministic runs.
 func NewSimulator(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{free: none, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -74,87 +87,69 @@ func (s *Simulator) At(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	s.seq++
-	s.push(event{at: s.now + delay, seq: s.seq, fn: fn})
+	s.push(s.now+delay, event{fn: fn})
 }
 
 // AtPacket schedules h.HandlePacket(pkt, from, dir) after delay without
 // allocating: the arguments ride in the event value itself. It shares
-// the (at, seq) order with At, so closure and packet events interleave
+// the queue order with At, so closure and packet events interleave
 // exactly as their scheduling order dictates.
 func (s *Simulator) AtPacket(delay time.Duration, h PacketHandler, pkt *packet.Packet, from int, dir Direction) {
 	if delay < 0 {
 		delay = 0
 	}
-	s.seq++
-	s.push(event{at: s.now + delay, seq: s.seq, h: h, pkt: pkt, from: int32(from), dir: dir})
+	s.push(s.now+delay, event{h: h, pkt: pkt, from: int32(from), dir: dir})
 }
 
-// The queue is a 4-ary implicit heap: children of i are 4i+1..4i+4,
-// parent is (i-1)/4. Compared to the binary container/heap it halves
-// tree depth (fewer sift levels for the mostly-FIFO workload here) and,
-// being monomorphic, costs zero allocations in steady state — append
-// only grows the backing array until the high-water mark of concurrent
-// events, after which popped slots are recycled.
-
-func (s *Simulator) push(e event) {
-	q := append(s.queue, e)
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !eventLess(&q[i], &q[p]) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
+// push appends e to the FIFO of instant at, creating the bucket if
+// none is pending. The scan starts at the earliest bucket: new events
+// mostly land at or near the front of the schedule.
+func (s *Simulator) push(at time.Duration, e event) {
+	i := s.free
+	e.next = none
+	if i == none {
+		i = int32(len(s.slab))
+		s.slab = append(s.slab, e)
+	} else {
+		s.free = s.slab[i].next
+		s.slab[i] = e
 	}
-	s.queue = q
-}
-
-// popTop removes the minimum event. The vacated tail slot is zeroed so
-// the backing array does not retain the popped closure or packet (long
-// campaigns previously kept every executed closure reachable).
-func (s *Simulator) popTop() event {
-	q := s.queue
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = event{}
-	q = q[:n]
-	s.queue = q
-	i := 0
-	for {
-		best := i
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for ; c < end; c++ {
-			if eventLess(&q[c], &q[best]) {
-				best = c
-			}
-		}
-		if best == i {
-			break
-		}
-		q[i], q[best] = q[best], q[i]
-		i = best
+	s.pending++
+	b := s.buckets
+	k := len(b)
+	for k > 0 && b[k-1].at < at {
+		k--
 	}
-	return top
+	if k > 0 && b[k-1].at == at {
+		s.slab[b[k-1].tail].next = i
+		b[k-1].tail = i
+		return
+	}
+	b = append(b, bucket{})
+	copy(b[k+1:], b[k:])
+	b[k] = bucket{at: at, head: i, tail: i}
+	s.buckets = b
 }
 
 // Step executes the next event. It reports false when the queue is
 // empty.
 func (s *Simulator) Step() bool {
-	if len(s.queue) == 0 {
+	n := len(s.buckets)
+	if n == 0 {
 		return false
 	}
-	e := s.popTop()
-	s.now = e.at
+	b := &s.buckets[n-1]
+	i := b.head
+	e := s.slab[i]
+	s.now = b.at
+	if i == b.tail {
+		s.buckets = s.buckets[:n-1]
+	} else {
+		b.head = e.next
+	}
+	s.slab[i] = event{next: s.free}
+	s.free = i
+	s.pending--
 	s.steps++
 	if e.fn != nil {
 		e.fn()
@@ -183,11 +178,11 @@ func (s *Simulator) Run(budget int) int {
 // clock to exactly now+d (even if the queue still holds later events).
 func (s *Simulator) RunFor(d time.Duration) {
 	deadline := s.now + d
-	for len(s.queue) > 0 && s.queue[0].at <= deadline {
+	for n := len(s.buckets); n > 0 && s.buckets[n-1].at <= deadline; n = len(s.buckets) {
 		s.Step()
 	}
 	s.now = deadline
 }
 
 // Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return s.pending }

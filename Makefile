@@ -30,11 +30,12 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke replays the checked-in seed corpora of the topology and
-# censor spec parsers as ordinary tests (no -fuzz: that would fuzz
-# indefinitely).
+# censor spec parsers and of the lazily seeded RNG's equivalence with
+# math/rand as ordinary tests (no -fuzz: that would fuzz indefinitely).
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseTopo$$' ./internal/topo
 	$(GO) test -run '^FuzzParseCensor$$' ./internal/censor
+	$(GO) test -run '^FuzzRandMatchesMathRand$$' ./internal/netem
 
 # bench measures the trial hot path, the bandwidth-constrained goodput
 # path (shaper + congestion control live, allocs recorded), and the
@@ -66,11 +67,12 @@ bench-gate:
 
 # bench-obs gates the instrumentation tax. The alloc gates assert the
 # disabled-telemetry arm and the unconstrained (congestion-dormant)
-# trial add zero allocations over the seed hot-path baseline (hard
+# trial add zero allocations over the hot-path budget, and that a
+# campaign worker's reused trial arena keeps its saving (hard
 # failures, not measurements); the benchmark then reports the
 # enabled-arm overhead, which should stay within a few percent.
 bench-obs:
-	$(GO) test -run '^TestTelemetryDisabledZeroAlloc$$|^TestCongestionDisabledZeroAlloc$$|^TestFleetDisabledZeroAlloc$$' -count=1 ./internal/experiment/
+	$(GO) test -run '^TestTelemetryDisabledZeroAlloc$$|^TestCongestionDisabledZeroAlloc$$|^TestFleetDisabledZeroAlloc$$|^TestWorkerArenaTrialAllocs$$' -count=1 ./internal/experiment/
 	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchtime 2s ./internal/experiment/
 
 # health-golden replays the post-campaign health report against its

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"intango/internal/core"
 	"intango/internal/dpi"
@@ -113,9 +114,53 @@ type BenchReport struct {
 	// layer that moved. Absent from older reports.
 	Layers map[string]BenchResult `json:"layers,omitempty"`
 
+	// TrialSplit divides the hot-path trial's wall time between
+	// building its rig and running it, for RunOne's fresh arena per
+	// trial ("fresh-arena", the Trial figure's path) and a campaign
+	// worker's one reused arena ("worker-arena"). Absent from older
+	// reports.
+	TrialSplit map[string]BenchSplit `json:"trial_split,omitempty"`
+
 	// AllocReductionPct is 100*(1 - trial allocs / baseline trial
 	// allocs): the headline number the pooling work is judged by.
 	AllocReductionPct float64 `json:"alloc_reduction_pct"`
+}
+
+// BenchSplit is one trial's wall time divided between building its rig
+// (seeding, topology instantiation, devices, stacks) and running it
+// (handshake, strategy, fetch, classification), in µs per trial.
+type BenchSplit struct {
+	BuildUs float64 `json:"build_us"`
+	RunUs   float64 `json:"run_us"`
+}
+
+// benchTrialSplit times the build and the run of the hot-path trial
+// separately, reusing one arena across trials when reuse is set.
+func benchTrialSplit(seed int64, reuse bool) BenchSplit {
+	r := NewRunner(seed)
+	vp := VantagePoints()[0]
+	srv := Servers(1, r.Cal, seed)[0]
+	factory := core.BuiltinFactories()["teardown-rst/ttl"]
+	pool := r.packetPool()
+	var split BenchSplit
+	testing.Benchmark(func(b *testing.B) {
+		var build, run time.Duration
+		arena := new(trialArena)
+		for i := 0; i < b.N; i++ {
+			if !reuse {
+				arena = new(trialArena)
+			}
+			t0 := time.Now()
+			rg := r.build(vp, srv, r.trialSeed(vp, srv, i), pool, arena)
+			t1 := time.Now()
+			rg.run(srv, factory, true, nil, nil)
+			build += t1.Sub(t0)
+			run += time.Since(t1)
+		}
+		perTrial := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 / float64(b.N) }
+		split = BenchSplit{BuildUs: perTrial(build), RunUs: perTrial(run)}
+	})
+	return split
 }
 
 func toBenchResult(r testing.BenchmarkResult, trialsPerOp int) BenchResult {
@@ -213,6 +258,11 @@ func RunBench(seed int64) BenchReport {
 		rep.Layers[l.name] = toBenchResult(testing.Benchmark(l.fn), 0)
 	}
 
+	rep.TrialSplit = map[string]BenchSplit{
+		"fresh-arena":  benchTrialSplit(seed, false),
+		"worker-arena": benchTrialSplit(seed, true),
+	}
+
 	if base := rep.Baseline.Trial.AllocsPerOp; base > 0 {
 		rep.AllocReductionPct = 100 * (1 - float64(rep.Trial.AllocsPerOp)/float64(base))
 	}
@@ -301,6 +351,10 @@ func FormatBenchReport(rep BenchReport) string {
 	for _, name := range layerNames(rep, BenchReport{}) {
 		benchLine(&b, name, rep.Layers[name], BenchResult{}) // no pre-PR layer baseline
 	}
+	for _, name := range splitNames(rep, BenchReport{}) {
+		sp := rep.TrialSplit[name]
+		fmt.Fprintf(&b, "  %-18s build %7.1f µs + run %7.1f µs per trial\n", "split/"+name, sp.BuildUs, sp.RunUs)
+	}
 	return b.String()
 }
 
@@ -339,18 +393,32 @@ func CompareBenchReports(oldRep, newRep BenchReport) string {
 	for _, name := range layerNames(oldRep, newRep) {
 		row(name, oldRep.Layers[name], newRep.Layers[name])
 	}
+	for _, name := range splitNames(oldRep, newRep) {
+		o, n := oldRep.TrialSplit[name], newRep.TrialSplit[name]
+		fmt.Fprintf(&b, "%-18s %14.1f %14.1f %8s   (build µs/trial)\n", "split/"+name,
+			o.BuildUs, n.BuildUs, strings.TrimSpace(pctDelta(o.BuildUs, n.BuildUs)))
+		fmt.Fprintf(&b, "%-18s %14.1f %14.1f %8s   (run µs/trial)\n", "",
+			o.RunUs, n.RunUs, strings.TrimSpace(pctDelta(o.RunUs, n.RunUs)))
+	}
 	return b.String()
 }
 
 // layerNames returns the layer benchmarks present in either report,
 // sorted.
-func layerNames(a, b BenchReport) []string {
+func layerNames(a, b BenchReport) []string { return unionKeys(a.Layers, b.Layers) }
+
+// splitNames returns the trial-split arena regimes present in either
+// report, sorted.
+func splitNames(a, b BenchReport) []string { return unionKeys(a.TrialSplit, b.TrialSplit) }
+
+// unionKeys returns the keys present in either map, sorted.
+func unionKeys[V any](a, b map[string]V) []string {
 	var names []string
-	for name := range a.Layers {
+	for name := range a {
 		names = append(names, name)
 	}
-	for name := range b.Layers {
-		if _, ok := a.Layers[name]; !ok {
+	for name := range b {
+		if _, ok := a[name]; !ok {
 			names = append(names, name)
 		}
 	}

@@ -133,8 +133,7 @@ func goodputTopo(vp VantagePoint, srv Server) string {
 // campaigns measure bit-identically. A non-nil reg additionally folds
 // the trial into the goodput.bps / goodput.bytes histograms.
 func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, factory core.Factory, trial int, reg *obs.Registry) (bps int64, out Outcome) {
-	trialSeed := r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
-	rg := r.build(vp, srv, trialSeed, r.packetPool())
+	rg := r.build(vp, srv, r.trialSeed(vp, srv, trial), r.packetPool(), new(trialArena))
 	appsim.ServeHTTPUpload(rg.srv, 80)
 	if reg != nil {
 		rg.attachObs(obs.New(reg, obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)))

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -142,7 +141,7 @@ func proberDemoSession(seed int64, obfs bool) (censor.Instance, bool) {
 		path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
 	}
 	path.ClientLink.Latency = time.Millisecond
-	inst, err := comp.Build("tor-prober", sim.Rand(), rand.New(rand.NewSource(seed^0x70726f6265)))
+	inst, err := comp.Build("tor-prober", sim.Rand(), netem.NewRand(seed^0x70726f6265))
 	if err != nil {
 		panic(fmt.Sprintf("experiment: build tor-prober: %v", err))
 	}

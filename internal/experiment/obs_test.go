@@ -260,9 +260,9 @@ func TestObsSerialParallelDeterminism(t *testing.T) {
 	vp := VantagePoints()[0]
 	srv := Servers(1, rTrace.Cal, 42)[0]
 	f := core.BuiltinFactories()["teardown-rst/ttl"]
-	outPlain, _, recPlain := rTrace.runRig(vp, srv, f, true, 0, obs.NewRegistry(), nil, rTrace.packetPool())
+	outPlain, _, recPlain := rTrace.runRig(vp, srv, f, true, 0, obs.NewRegistry(), nil, rTrace.packetPool(), new(trialArena))
 	tc := trace.New()
-	outTraced, _, recTraced := rTrace.runRig(vp, srv, f, true, 0, obs.NewRegistry(), tc, rTrace.packetPool())
+	outTraced, _, recTraced := rTrace.runRig(vp, srv, f, true, 0, obs.NewRegistry(), tc, rTrace.packetPool(), new(trialArena))
 	if outPlain != outTraced {
 		t.Errorf("tracing changed graph outcome: %v vs %v", outPlain, outTraced)
 	}
@@ -473,12 +473,25 @@ func TestObsCausalDeterminism(t *testing.T) {
 	}
 }
 
+// The trial hot path's allocation budget, shared by the zero-extra-
+// alloc gates below and in goodput_test.go and shard_test.go. A RunOne
+// trial (fresh arena) measures exactly trialAllocs with
+// testing.AllocsPerRun over 100, 1,000 and 3,000 runs, after 0 to 1,000
+// pool-warming trials, at GOGC 10 to 400: no spread at all. The one
+// alloc of slack covers a packet-pool refill after a GC landing inside
+// a short window, and nothing that would hide a real per-trial
+// allocation.
+const (
+	trialAllocs     = 124
+	trialAllocSlack = 1
+)
+
 // TestTelemetryDisabledZeroAlloc pins the disabled-telemetry trial
-// at the seed baseline of the hot-path allocation gate: growing the
-// obs layer (gauges, histograms, spans, sampling) must cost the
-// uninstrumented path nothing beyond its one nil check per probe
-// site. BenchmarkTrialHotPath reports the same number; this test
-// makes the bound a hard failure in `go test`.
+// at the hot-path allocation budget: growing the obs layer (gauges,
+// histograms, spans, sampling) must cost the uninstrumented path
+// nothing beyond its one nil check per probe site.
+// BenchmarkTrialHotPath reports the same number; this test makes the
+// bound a hard failure in `go test`.
 func TestTelemetryDisabledZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates alloc counts")
@@ -490,16 +503,35 @@ func TestTelemetryDisabledZeroAlloc(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		r.RunOne(vp, srv, f, true, 0) // warm the packet pool past GC churn
 	}
-	// Seed baseline: BenchmarkTrialHotPath reports 139 allocs/op at
-	// steady state. Short windows read ~1 high (sync.Pool refills after
-	// GC amortize over fewer runs — the seed itself measures 143 at
-	// 200 iterations), so allow that amortization slack but nothing
-	// that would hide a real per-trial allocation on the disabled path.
-	const seedBaseline = 139
 	avg := testing.AllocsPerRun(1000, func() {
 		r.RunOne(vp, srv, f, true, 0)
 	})
-	if avg > seedBaseline+1 {
-		t.Fatalf("disabled-telemetry trial allocates %.1f/op, budget %d", avg, seedBaseline)
+	if avg > trialAllocs+trialAllocSlack {
+		t.Fatalf("disabled-telemetry trial allocates %.1f/op, budget %d", avg, trialAllocs)
+	}
+}
+
+// TestWorkerArenaTrialAllocs pins what a campaign worker saves by
+// building every trial in one reused arena: no simulator, event slab,
+// bucket list or RNG register is allocated per trial. Measured like
+// trialAllocs, a reused-arena trial takes exactly 12 allocs fewer.
+func TestWorkerArenaTrialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates alloc counts")
+	}
+	const workerTrialAllocs = 112
+	r := NewRunner(42)
+	vp := VantagePoints()[0]
+	srv := Servers(1, r.Cal, 42)[0]
+	f := core.BuiltinFactories()["teardown-rst/ttl"]
+	pool, arena := r.packetPool(), new(trialArena)
+	for i := 0; i < 200; i++ {
+		r.runOne(vp, srv, f, true, 0, nil, "", pool, arena)
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		r.runOne(vp, srv, f, true, 0, nil, "", pool, arena)
+	})
+	if avg > workerTrialAllocs+trialAllocSlack {
+		t.Fatalf("reused-arena trial allocates %.1f/op, budget %d", avg, workerTrialAllocs)
 	}
 }

@@ -59,8 +59,9 @@ func (r *Runner) RunParallel(jobs []trialJob, tallies []*Tally) {
 			// Under PerWorkerPool each worker recycles through its own
 			// private pool; otherwise all workers share one sync.Pool.
 			pool := r.newWorkerPool()
+			arena := new(trialArena)
 			for job := range ch {
-				out := r.runOne(job.vp, job.srv, job.factory, job.sensitive, job.trial, obsShards[w], job.label, pool)
+				out := r.runOne(job.vp, job.srv, job.factory, job.sensitive, job.trial, obsShards[w], job.label, pool, arena)
 				tallyShards[w][job.sink].Add(out)
 				prog.note(job.label, out)
 			}

@@ -7,11 +7,11 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 
 	"intango/internal/censor"
 	"intango/internal/gfw"
 	"intango/internal/middlebox"
+	"intango/internal/netem"
 	"intango/internal/packet"
 	"intango/internal/tcpstack"
 )
@@ -149,7 +149,7 @@ func DefaultCalibration() Calibration {
 // Servers deterministically samples n website stand-ins from the
 // calibrated distributions.
 func Servers(n int, cal Calibration, seed int64) []Server {
-	rng := rand.New(rand.NewSource(seed))
+	rng := netem.NewRand(seed)
 	stacks := []func() tcpstack.Profile{
 		tcpstack.Linux44, tcpstack.Linux40, tcpstack.Linux314,
 	}
@@ -190,7 +190,7 @@ func Servers(n int, cal Calibration, seed int64) []Server {
 // insertion much harder (§7.1).
 func OutsideServers(n int, cal Calibration, seed int64) []Server {
 	servers := Servers(n, cal, seed)
-	rng := rand.New(rand.NewSource(seed + 1))
+	rng := netem.NewRand(seed + 1)
 	for i := range servers {
 		servers[i].Name = fmt.Sprintf("cn-site%03d.example", i)
 		// GFW within 0-3 hops of the server.

@@ -156,11 +156,13 @@ func (r *Runner) RunCubeRange(c *Cube, st *ShardState, every int, onTrial func(l
 	}
 	since := 0
 	// A shard is one worker: under PerWorkerPool it recycles through its
-	// own private pool, like a RunParallel worker would.
+	// own private pool, and it builds every trial in one arena, like a
+	// RunParallel worker would.
 	pool := r.newWorkerPool()
+	arena := new(trialArena)
 	for st.Cursor < st.End {
 		job := c.jobs[st.Cursor]
-		out := r.runOne(job.vp, job.srv, job.factory, job.sensitive, job.trial, st.Sink, job.label, pool)
+		out := r.runOne(job.vp, job.srv, job.factory, job.sensitive, job.trial, st.Sink, job.label, pool, arena)
 		st.Tallies[job.sink].Add(out)
 		st.Cursor++
 		since++

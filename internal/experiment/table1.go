@@ -103,6 +103,7 @@ func table1Strategies() []table1Spec {
 func RunTable1(r *Runner, scale Scale) []Table1Row {
 	vps := VantagePoints()[:min(scale.VPs, 11)]
 	servers := Servers(scale.Servers, r.Cal, r.Seed)
+	pool, arena := r.packetPool(), new(trialArena)
 	var rows []Table1Row
 	for _, spec := range table1Strategies() {
 		row := Table1Row{Strategy: spec.group, Discrepancy: spec.disc}
@@ -110,8 +111,8 @@ func RunTable1(r *Runner, scale Scale) []Table1Row {
 		for _, vp := range vps {
 			for _, srv := range servers {
 				for trial := 0; trial < scale.Trials; trial++ {
-					row.Sensitive.Add(r.RunOne(vp, srv, factory, true, trial))
-					row.Clean.Add(r.RunOne(vp, srv, factory, false, trial+scale.Trials))
+					row.Sensitive.Add(r.runOne(vp, srv, factory, true, trial, r.Obs, "", pool, arena))
+					row.Clean.Add(r.runOne(vp, srv, factory, false, trial+scale.Trials, r.Obs, "", pool, arena))
 				}
 			}
 		}

@@ -208,7 +208,7 @@ func FormatTopoDemo(seed int64) string {
 	r.Topo = GraphDemoTopo
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, seed)[0]
-	rg := r.build(vp, srv, 1, r.packetPool())
+	rg := r.build(vp, srv, 1, r.packetPool(), new(trialArena))
 	fab, ok := rg.net.(*netem.Fabric)
 	if !ok {
 		return "topo demo: unexpected linear compilation\n"

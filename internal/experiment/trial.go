@@ -201,6 +201,11 @@ func NewRunner(seed int64) *Runner {
 	return &Runner{Cal: DefaultCalibration(), Seed: seed}
 }
 
+// trialSeed derives the seed of trial number trial on one pair.
+func (r *Runner) trialSeed(vp VantagePoint, srv Server, trial int) int64 {
+	return r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
+}
+
 // pairSeed derives the stable per-(vantage point, server) seed that
 // pins device behaviour across trials.
 func (r *Runner) pairSeed(vp VantagePoint, srv Server) int64 {
@@ -221,16 +226,45 @@ type rig struct {
 	engine  *core.Engine
 }
 
-// build assembles the (vp, server) substrate for one trial: derive (or
-// override) the declarative topology, fetch its cached compiled
-// Program, and instantiate it with this trial's RNGs bound through the
-// rig binder. Measured paths are linear chains and compile to the
-// allocation-free netem.Path; a graph Runner.Topo compiles to a
+// trialArena holds the storage a trial's rig is built in that outlives
+// the trial: the simulator (event slab, bucket list, RNG register) and
+// the pair RNG. A campaign worker hands every trial it runs the same
+// arena, so building a rig reseeds and clears in place instead of
+// allocating; every other caller passes a fresh one. The zero value is
+// ready to use.
+//
+// Lifetime rule: building a rig invalidates the arena's previous rig,
+// so nothing may hold a rig, its simulator or its RNGs past the runOne
+// that built it.
+type trialArena struct {
+	sim     *netem.Simulator
+	pairRng *rand.Rand
+}
+
+// seed readies the arena for one trial: a simulator and pair RNG in
+// exactly the state NewSimulator(trialSeed) and
+// netem.NewRand(pairSeed) would build.
+func (a *trialArena) seed(trialSeed, pairSeed int64) {
+	if a.sim == nil {
+		a.sim = netem.NewSimulator(trialSeed)
+		a.pairRng = netem.NewRand(pairSeed)
+		return
+	}
+	a.sim.Reset(trialSeed)
+	a.pairRng.Seed(pairSeed)
+}
+
+// build assembles the (vp, server) substrate for one trial in arena a:
+// derive (or override) the declarative topology, fetch its cached
+// compiled Program, and instantiate it with this trial's RNGs bound
+// through the rig binder. Measured paths are linear chains and compile
+// to the allocation-free netem.Path; a graph Runner.Topo compiles to a
 // netem.Fabric.
-func (r *Runner) build(vp VantagePoint, srv Server, trialSeed int64, pool *packet.Pool) *rig {
-	rg := &rig{sim: netem.NewSimulator(trialSeed)}
+func (r *Runner) build(vp VantagePoint, srv Server, trialSeed int64, pool *packet.Pool, a *trialArena) *rig {
+	a.seed(trialSeed, r.pairSeed(vp, srv))
+	rg := &rig{sim: a.sim}
 	trialRng := rg.sim.Rand()
-	pairRng := rand.New(rand.NewSource(r.pairSeed(vp, srv)))
+	pairRng := a.pairRng
 
 	// Route dynamics: the path this trial may be ±2 hops off the
 	// measured count (§3.4). A shift below one hop clamps to a single
@@ -311,17 +345,23 @@ func (rg *rig) attachObs(b *obs.Obs) {
 	rg.srv.Obs = b
 }
 
-// runRig executes one constructed trial: optional obs attachment, one
-// HTTP fetch, §3.4 classification. A nil reg runs uninstrumented (the
-// hot path); otherwise a fresh per-trial flight recorder keyed to the
-// simulator's virtual clock is wired through the whole rig. A non-nil
-// tc additionally taps the recorder and the path so the tracer sees the
+// runRig builds one trial's rig in arena a and runs it. A nil reg runs
+// uninstrumented (the hot path); see rig.run for what reg and tc add.
+func (r *Runner) runRig(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int, reg *obs.Registry, tc *trace.Tracer, pool *packet.Pool, a *trialArena) (Outcome, *rig, *obs.Recorder) {
+	rg := r.build(vp, srv, r.trialSeed(vp, srv, trial), pool, a)
+	out, rec := rg.run(srv, factory, sensitive, reg, tc)
+	return out, rg, rec
+}
+
+// run executes one constructed trial: optional obs attachment, one
+// HTTP fetch, §3.4 classification. A nil reg runs uninstrumented;
+// otherwise a fresh per-trial flight recorder keyed to the simulator's
+// virtual clock is wired through the whole rig. A non-nil tc
+// additionally taps the recorder and the path so the tracer sees the
 // complete event stream and every wire packet; tracing only observes —
 // it never schedules events or draws randomness, so a traced trial is
 // bit-identical to an untraced one.
-func (r *Runner) runRig(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int, reg *obs.Registry, tc *trace.Tracer, pool *packet.Pool) (Outcome, *rig, *obs.Recorder) {
-	trialSeed := r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
-	rg := r.build(vp, srv, trialSeed, pool)
+func (rg *rig) run(srv Server, factory core.Factory, sensitive bool, reg *obs.Registry, tc *trace.Tracer) (Outcome, *obs.Recorder) {
 	var rec *obs.Recorder
 	if reg != nil {
 		rec = obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)
@@ -339,7 +379,7 @@ func (r *Runner) runRig(vp VantagePoint, srv Server, factory core.Factory, sensi
 	if rec != nil {
 		recordStageSpans(rg, conn, reg, rec)
 	}
-	return classify(rg, conn, sensitive), rg, rec
+	return classify(rg, conn, sensitive), rec
 }
 
 // Stage histogram names, shared by span recording and the health
@@ -398,9 +438,10 @@ func recordStageSpans(rg *rig, conn *tcpstack.Conn, reg *obs.Registry, rec *obs.
 }
 
 // runOne runs one trial against an explicit sink (RunParallel hands
-// each worker its own shard here, plus the worker's packet pool).
-// label names the strategy for the failure-trace retention key.
-func (r *Runner) runOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int, sink *ObsSink, label string, pool *packet.Pool) Outcome {
+// each worker its own shard here, plus the worker's packet pool and
+// trial arena). label names the strategy for the failure-trace
+// retention key.
+func (r *Runner) runOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int, sink *ObsSink, label string, pool *packet.Pool, a *trialArena) Outcome {
 	var reg *obs.Registry
 	var tc *trace.Tracer
 	if sink != nil {
@@ -409,7 +450,7 @@ func (r *Runner) runOne(vp VantagePoint, srv Server, factory core.Factory, sensi
 			tc = trace.New()
 		}
 	}
-	out, rg, rec := r.runRig(vp, srv, factory, sensitive, trial, reg, tc, pool)
+	out, rg, rec := r.runRig(vp, srv, factory, sensitive, trial, reg, tc, pool, a)
 	if sink != nil {
 		var bundle *trace.Trace
 		if tc != nil && out != Success {
@@ -425,14 +466,14 @@ func (r *Runner) runOne(vp VantagePoint, srv Server, factory core.Factory, sensi
 
 // RunOne executes a single strategy trial and classifies it.
 func (r *Runner) RunOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) Outcome {
-	return r.runOne(vp, srv, factory, sensitive, trial, r.Obs, "", r.packetPool())
+	return r.runOne(vp, srv, factory, sensitive, trial, r.Obs, "", r.packetPool(), new(trialArena))
 }
 
 // RunOneTraced runs one trial with a private flight recorder and
 // returns the classification together with the retained trace — the
 // §3.4 controlled-experiment hook diagnosis builds on.
 func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) (Outcome, []obs.Event) {
-	out, _, rec := r.runRig(vp, srv, factory, sensitive, trial, obs.NewRegistry(), nil, r.packetPool())
+	out, _, rec := r.runRig(vp, srv, factory, sensitive, trial, obs.NewRegistry(), nil, r.packetPool(), new(trialArena))
 	return out, rec.Events()
 }
 
@@ -442,7 +483,7 @@ func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory,
 // the strategy in the trace meta; pass "" for no strategy.
 func (r *Runner) RunOneCausal(vp VantagePoint, srv Server, factory core.Factory, label string, sensitive bool, trial int) (Outcome, *trace.Trace) {
 	tc := trace.New()
-	out, _, _ := r.runRig(vp, srv, factory, sensitive, trial, obs.NewRegistry(), tc, r.packetPool())
+	out, _, _ := r.runRig(vp, srv, factory, sensitive, trial, obs.NewRegistry(), tc, r.packetPool(), new(trialArena))
 	return out, tc.Finish(trace.Meta{
 		Strategy: label, VP: vp.Name, Server: srv.Name,
 		Trial: trial, Outcome: out.String(),
@@ -471,7 +512,7 @@ func fetch(rg *rig, srv Server, sensitive bool) *tcpstack.Conn {
 // Between trials it waits out any active blocklist period, as the
 // paper's methodology did (§3.3).
 func (r *Runner) RunINTANGSeries(vp VantagePoint, srv Server, trials int) []Outcome {
-	rg := r.build(vp, srv, r.pairSeed(vp, srv), r.packetPool())
+	rg := r.build(vp, srv, r.pairSeed(vp, srv), r.packetPool(), new(trialArena))
 	it := intang.New(rg.sim, rg.net, rg.cli, intang.Options{})
 	it.Engine.Env.InsertionTTL = insertionTTL(srv)
 	if r.Obs != nil {

@@ -10,7 +10,6 @@ package ignorepath
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -97,7 +96,7 @@ type Candidate struct {
 // counterpart and stay bespoke.
 func Candidates() []Candidate {
 	anyState := []tcpstack.State{tcpstack.SynRecv, tcpstack.Established}
-	env := core.Env{Rand: rand.New(rand.NewSource(53))}
+	env := core.Env{Rand: netem.NewRand(53)}
 	disc := func(d core.Discrepancy) func(cc connContext) *packet.Packet {
 		return func(cc connContext) *packet.Packet { return env.Apply(cc.dataProbe(), d) }
 	}

@@ -2,7 +2,6 @@ package intangd
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -133,7 +132,7 @@ func New(cfg Config) (*Proxy, error) {
 	if procs, ok := comp.BuildChain(p.sim.Rand()); ok {
 		hop.Processors = append(hop.Processors, procs...)
 	} else {
-		pairRng := rand.New(rand.NewSource(cfg.Seed + 1))
+		pairRng := netem.NewRand(cfg.Seed + 1)
 		inst, err := comp.Build("gfw", p.sim.Rand(), pairRng)
 		if err != nil {
 			return nil, fmt.Errorf("intangd: censor: %w", err)

@@ -72,7 +72,22 @@ type event struct {
 
 // NewSimulator returns a simulator seeded for deterministic runs.
 func NewSimulator(seed int64) *Simulator {
-	return &Simulator{free: none, rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{free: none, rng: NewRand(seed)}
+}
+
+// Reset returns s to the state NewSimulator(seed) would build — time,
+// step and pending counts at zero, queue empty, RNG reseeded in place
+// (the *rand.Rand pointer survives) — while keeping the event slab's
+// and bucket list's capacity. Events scheduled before Reset never run,
+// and every slot is cleared so the slab retains none of their closures
+// or packets.
+func (s *Simulator) Reset(seed int64) {
+	clear(s.slab)
+	s.slab = s.slab[:0]
+	s.buckets = s.buckets[:0]
+	s.free = none
+	s.now, s.steps, s.pending = 0, 0, 0
+	s.rng.Seed(seed)
 }
 
 // Now returns the current virtual time.

@@ -8,27 +8,47 @@ import (
 
 // PipeEnd is one side of an in-memory packet pipe. The pipe carries
 // serialized wire bytes, not shared pointers: WritePacket encodes the
-// datagram, ReadPacket parses a fresh packet on the far side — the
-// same copy semantics a real interface has, which is what makes the
-// pipe an honest stand-in for one in tests and in the intangd proxy.
+// datagram, ReadPacket parses a new packet on the far side — the same
+// copy semantics a real interface has, which is what makes the pipe an
+// honest stand-in for one in tests and in the intangd proxy.
 //
 // Writes never block: each end has a receive queue, and when a
 // capacity is set the queue tail-drops like a full NIC ring (Dropped
 // counts the losses). That property is load-bearing — the proxy writes
 // into a pipe while holding its world lock, and a blocking write there
 // would deadlock against a reader waiting for that lock.
+//
+// A crossing allocates nothing in steady state:
+//
+//   - The receive queue is a ring of wire buffers. A write encodes into
+//     the buffer of the slot it fills (Packet.AppendTo), and the slot
+//     keeps its buffer for the next frame.
+//   - Each end owns a packet pool. ReadPacket parses into a packet from
+//     it, and PacketPool hands it to the layers above, so what they
+//     craft comes from it too.
+//
+// Ownership rules:
+//
+//   - WritePacket takes ownership of the packet and releases it once
+//     its bytes are encoded, whether the write succeeds or not. The
+//     writer must not touch it afterwards, and must not write a packet
+//     some other layer will still release — a netem path releases what
+//     it delivers, so a caller forwarding a delivered packet writes a
+//     pooled clone of it instead.
+//   - ReadPacket's packet belongs to the caller, who releases it when
+//     done (a stack after Deliver returns). A missed release only costs
+//     a garbage-collected packet.
 type PipeEnd struct {
 	name string
 	peer *PipeEnd
-	// pool, when set, receives every written packet back after its
-	// bytes are encoded: the writer hands ownership to the device, and
-	// the device releases to the pool exactly where netem would have —
-	// after delivery onto the wire.
 	pool *packet.Pool
 
-	mu      sync.Mutex
-	rd      sync.Cond
-	queue   [][]byte
+	mu sync.Mutex
+	rd sync.Cond
+	// ring holds the queued frames at ring[head], ring[head+1], ...
+	// (mod len), n of them; every slot keeps its buffer when popped.
+	ring    [][]byte
+	head, n int
 	closed  bool
 	peerOff bool
 	dropped uint64
@@ -39,21 +59,15 @@ type PipeEnd struct {
 // bounds each direction's receive queue (0 means unbounded); overflow
 // tail-drops.
 func NewPipe(capacity int) (*PipeEnd, *PipeEnd) {
-	a := &PipeEnd{name: "a", cap: capacity}
-	b := &PipeEnd{name: "b", cap: capacity}
+	a := &PipeEnd{name: "a", cap: capacity, pool: packet.NewPool()}
+	b := &PipeEnd{name: "b", cap: capacity, pool: packet.NewPool()}
 	a.rd.L = &a.mu
 	b.rd.L = &b.mu
 	a.peer, b.peer = b, a
 	return a, b
 }
 
-// SetPool attaches a pool this end releases written packets to once
-// they are serialized (see PipeEnd). Callers that keep ownership of
-// their packets — or whose packets belong to another layer — leave it
-// nil.
-func (e *PipeEnd) SetPool(pl *packet.Pool) { e.pool = pl }
-
-// PacketPool implements Pooled.
+// PacketPool implements Pooled: the pool this end parses into.
 func (e *PipeEnd) PacketPool() *packet.Pool { return e.pool }
 
 // Dropped returns how many inbound datagrams this end's full queue
@@ -64,38 +78,55 @@ func (e *PipeEnd) Dropped() uint64 {
 	return e.dropped
 }
 
-// WritePacket serializes pkt and queues the bytes at the peer.
-// Ownership of pkt transfers to the device: with a pool attached the
-// packet is recycled here, otherwise it is simply left for the GC.
+// WritePacket encodes pkt into the peer's receive queue and releases
+// it (see PipeEnd for the ownership rules).
 func (e *PipeEnd) WritePacket(pkt *packet.Packet) error {
-	data := pkt.Serialize(packet.SerializeOptions{})
-	if e.pool != nil {
-		pkt.Release()
-	}
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
-	if closed {
-		return ErrClosed
+	err := ErrClosed
+	if !closed {
+		err = e.peer.push(pkt)
 	}
-	return e.peer.push(data)
+	pkt.Release()
+	return err
 }
 
-func (e *PipeEnd) push(data []byte) error {
+// push encodes pkt into the next free slot of e's receive queue.
+func (e *PipeEnd) push(pkt *packet.Packet) error {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return ErrClosed
 	}
-	if e.cap > 0 && len(e.queue) >= e.cap {
+	if e.cap > 0 && e.n >= e.cap {
 		e.dropped++
 		e.mu.Unlock()
 		return nil
 	}
-	e.queue = append(e.queue, data)
+	if e.n == len(e.ring) {
+		e.grow()
+	}
+	i := (e.head + e.n) % len(e.ring)
+	e.ring[i] = pkt.AppendTo(e.ring[i][:0], packet.SerializeOptions{})
+	e.n++
 	e.mu.Unlock()
 	e.rd.Signal()
 	return nil
+}
+
+// grow doubles the full ring, moving the queued frames (and so every
+// buffer) to the front of the new one.
+func (e *PipeEnd) grow() {
+	size := max(8, 2*len(e.ring))
+	if e.cap > 0 {
+		size = min(size, e.cap)
+	}
+	ring := make([][]byte, size)
+	for k := 0; k < e.n; k++ {
+		ring[k] = e.ring[(e.head+k)%len(e.ring)]
+	}
+	e.ring, e.head = ring, 0
 }
 
 // ReadPacket parses and returns the next queued datagram, blocking
@@ -104,17 +135,19 @@ func (e *PipeEnd) push(data []byte) error {
 // drain a real socket gives.
 func (e *PipeEnd) ReadPacket() (*packet.Packet, error) {
 	e.mu.Lock()
-	for len(e.queue) == 0 && !e.closed && !e.peerOff {
+	defer e.mu.Unlock()
+	for e.n == 0 && !e.closed && !e.peerOff {
 		e.rd.Wait()
 	}
-	if len(e.queue) == 0 {
-		e.mu.Unlock()
+	if e.n == 0 {
 		return nil, ErrClosed
 	}
-	data := e.queue[0]
-	e.queue = e.queue[1:]
-	e.mu.Unlock()
-	return packet.Parse(data)
+	frame := e.ring[e.head]
+	e.head = (e.head + 1) % len(e.ring)
+	e.n--
+	// Parse copies out of the slot before the lock lets a writer
+	// reuse it.
+	return e.pool.Parse(frame)
 }
 
 // Close closes this end: its reads and writes fail, and the peer —

@@ -26,6 +26,8 @@ type Conn struct {
 
 	readDeadline  time.Time
 	writeDeadline time.Time
+	// readTimer wakes blocked readers when readDeadline passes.
+	readTimer *time.Timer
 }
 
 func newConn(s *Stack, tc *tcpstack.Conn) *Conn {
@@ -69,11 +71,11 @@ func (c *Conn) Read(b []byte) (int, error) {
 		case s.down:
 			return 0, io.ErrUnexpectedEOF
 		}
-		if !c.readDeadline.IsZero() && time.Now().After(c.readDeadline) {
+		if !c.readDeadline.IsZero() && !time.Now().Before(c.readDeadline) {
 			return 0, os.ErrDeadlineExceeded
 		}
-		// The clock pump broadcasts every tick, so deadline checks
-		// rerun at tick granularity.
+		// Arriving packets, timers that ran and the deadline's own
+		// timer all broadcast.
 		s.note.Wait()
 	}
 }
@@ -96,7 +98,9 @@ func (c *Conn) Write(b []byte) (int, error) {
 	if st != tcpstack.Established && st != tcpstack.CloseWait {
 		return 0, net.ErrClosed
 	}
+	s.clock.Sync()
 	c.tc.Write(b)
+	s.clock.Kick()
 	return len(b), nil
 }
 
@@ -106,7 +110,10 @@ func (c *Conn) Close() error {
 	s.mu.Lock()
 	if !c.closed {
 		c.closed = true
+		c.setReadTimer(time.Time{})
+		s.clock.Sync()
 		c.tc.Close()
+		s.clock.Kick()
 	}
 	s.mu.Unlock()
 	s.note.Broadcast()
@@ -128,7 +135,8 @@ func (c *Conn) RemoteAddr() net.Addr {
 // SetDeadline sets both read and write deadlines.
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.stack.mu.Lock()
-	c.readDeadline, c.writeDeadline = t, t
+	c.writeDeadline = t
+	c.setReadTimer(t)
 	c.stack.mu.Unlock()
 	c.stack.note.Broadcast()
 	return nil
@@ -137,10 +145,24 @@ func (c *Conn) SetDeadline(t time.Time) error {
 // SetReadDeadline sets the read deadline.
 func (c *Conn) SetReadDeadline(t time.Time) error {
 	c.stack.mu.Lock()
-	c.readDeadline = t
+	c.setReadTimer(t)
 	c.stack.mu.Unlock()
 	c.stack.note.Broadcast()
 	return nil
+}
+
+// setReadTimer sets the read deadline and re-arms the timer that wakes
+// blocked readers when it passes (none for the zero time). Callers
+// hold the stack lock.
+func (c *Conn) setReadTimer(t time.Time) {
+	c.readDeadline = t
+	if c.readTimer != nil {
+		c.readTimer.Stop()
+		c.readTimer = nil
+	}
+	if !t.IsZero() {
+		c.readTimer = time.AfterFunc(time.Until(t), c.stack.wake)
+	}
 }
 
 // SetWriteDeadline sets the write deadline.

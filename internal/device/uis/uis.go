@@ -5,12 +5,14 @@
 // and whatever sits on the far side of the device (the intangd proxy,
 // a simulated censored path, a test pipe) sees honest wire traffic.
 //
-// Internally the stack owns a private discrete-event simulator that a
-// wall-clock pump advances, so the tcpstack's virtual timers (RTO,
-// persist, TIME_WAIT) fire in real time. One mutex serializes the
-// simulator, the TCP state machines, and the connection buffers; the
-// read pump and the clock pump are the only goroutines that take it
-// besides callers.
+// Internally the stack owns a private discrete-event simulator driven
+// by an event-driven netem.Clock, so the tcpstack's virtual timers
+// (RTO, persist, TIME_WAIT) fire in real time and an idle stack sleeps.
+// One mutex serializes the simulator, the TCP state machines, and the
+// connection buffers; the read pump and the clock pump are the only
+// goroutines that take it besides callers. Blocked callers wait on one
+// condition, broadcast when a packet arrives, when timers ran, or when
+// a deadline or context fires.
 package uis
 
 import (
@@ -24,6 +26,7 @@ import (
 
 	"intango/internal/device"
 	"intango/internal/netem"
+	"intango/internal/obs"
 	"intango/internal/packet"
 	"intango/internal/tcpstack"
 )
@@ -36,9 +39,6 @@ type Config struct {
 	Profile tcpstack.Profile
 	// Seed drives the stack's private simulator (ISNs, timer jitter).
 	Seed int64
-	// Tick is the wall-clock granularity of the virtual clock pump
-	// (default 1ms).
-	Tick time.Duration
 	// TimeScale multiplies wall time into virtual time (default 1.0);
 	// >1 makes the stack's timers run fast, matching a proxy world
 	// driven at the same scale.
@@ -55,11 +55,13 @@ type Stack struct {
 	cfg Config
 	dev device.Device
 
-	mu   sync.Mutex
-	note sync.Cond
-	sim  *netem.Simulator
-	tcp  *tcpstack.Stack
-	down bool // device closed under us
+	mu    sync.Mutex
+	note  sync.Cond
+	sim   *netem.Simulator
+	clock *netem.Clock
+	wakes obs.Counter
+	tcp   *tcpstack.Stack
+	down  bool // device closed under us
 
 	stop chan struct{}
 	once sync.Once
@@ -71,9 +73,6 @@ func New(dev device.Device, cfg Config) *Stack {
 	if cfg.Profile.Name == "" {
 		cfg.Profile = tcpstack.Linux44()
 	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
-	}
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
@@ -83,6 +82,7 @@ func New(dev device.Device, cfg Config) *Stack {
 	s := &Stack{cfg: cfg, dev: dev, stop: make(chan struct{})}
 	s.note.L = &s.mu
 	s.sim = netem.NewSimulator(cfg.Seed)
+	s.clock = netem.NewClock(s.sim, &s.mu, cfg.TimeScale, &s.wakes)
 	s.tcp = tcpstack.NewStack(cfg.Addr, cfg.Profile, s.sim)
 	s.tcp.AttachDevice(dev)
 	s.wg.Add(2)
@@ -101,7 +101,21 @@ func (s *Stack) Close() error {
 	return nil
 }
 
-// readPump moves inbound datagrams from the device into the TCP stack.
+// ClockWakes returns how many times the stack's clock driver woke; it
+// stays put while the stack is idle.
+func (s *Stack) ClockWakes() uint64 { return s.wakes.Value() }
+
+// wake rouses every blocked caller so it re-checks its condition. It
+// takes the lock, so a caller between its check and its Wait cannot
+// miss it; timers and context callbacks run it.
+func (s *Stack) wake() {
+	s.mu.Lock()
+	s.note.Broadcast()
+	s.mu.Unlock()
+}
+
+// readPump moves inbound datagrams from the device into the TCP stack
+// and recycles each once delivered (the stack copies what it keeps).
 func (s *Stack) readPump() {
 	defer s.wg.Done()
 	for {
@@ -114,51 +128,43 @@ func (s *Stack) readPump() {
 			return
 		}
 		s.mu.Lock()
+		s.clock.Sync()
 		s.tcp.Deliver(pkt)
+		s.clock.Kick()
 		s.mu.Unlock()
 		s.note.Broadcast()
+		pkt.Release()
 	}
 }
 
-// clockPump advances the private simulator with the wall clock, firing
-// the stack's virtual timers. Every tick also wakes blocked readers so
-// deadlines are re-checked at tick granularity.
+// clockPump runs the stack's clock driver until Close, waking blocked
+// callers whenever timers ran.
 func (s *Stack) clockPump() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.Tick)
-	defer t.Stop()
-	last := time.Now()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case now := <-t.C:
-			el := now.Sub(last)
-			last = now
-			if s.cfg.TimeScale != 1 {
-				el = time.Duration(float64(el) * s.cfg.TimeScale)
-			}
-			s.mu.Lock()
-			s.sim.RunFor(el)
-			s.mu.Unlock()
-			s.note.Broadcast()
-		}
-	}
+	s.clock.Run(s.stop, s.note.Broadcast)
 }
 
 // Dial opens a TCP connection to raddr:rport through the device and
 // blocks until the handshake completes (or DialTimeout).
 func (s *Stack) Dial(raddr packet.Addr, rport uint16) (net.Conn, error) {
-	return s.dial(raddr, rport, time.Now().Add(s.cfg.DialTimeout))
+	return s.dial(context.Background(), raddr, rport, time.Now().Add(s.cfg.DialTimeout))
 }
 
-func (s *Stack) dial(raddr packet.Addr, rport uint16, deadline time.Time) (net.Conn, error) {
+// dial connects and waits for the handshake, until deadline or until
+// ctx is done, whichever comes first.
+func (s *Stack) dial(ctx context.Context, raddr packet.Addr, rport uint16, deadline time.Time) (net.Conn, error) {
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, s.wake)()
+	}
+	defer time.AfterFunc(time.Until(deadline), s.wake).Stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.down {
 		return nil, device.ErrClosed
 	}
+	s.clock.Sync()
 	tc := s.tcp.Connect(raddr, rport)
+	s.clock.Kick()
 	c := newConn(s, tc)
 	for {
 		switch tc.State() {
@@ -172,7 +178,10 @@ func (s *Stack) dial(raddr packet.Addr, rport uint16, deadline time.Time) (net.C
 		if s.down {
 			return nil, device.ErrClosed
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("uis: dial %v:%d: %w", raddr, rport, err)
+		}
+		if !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("uis: dial %v:%d: %w", raddr, rport, os.ErrDeadlineExceeded)
 		}
 		s.note.Wait()
@@ -192,7 +201,8 @@ func (s *Stack) refusedErr(tc *tcpstack.Conn, raddr packet.Addr, rport uint16) e
 
 // DialContext implements the http.Transport dialer shape. The address
 // host resolves through Config.Hosts or as a literal IPv4; the network
-// must be "tcp".
+// must be "tcp". The dial gives up at the context's deadline (or
+// DialTimeout, if sooner) and as soon as the context is cancelled.
 func (s *Stack) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
 	if network != "tcp" && network != "tcp4" {
 		return nil, fmt.Errorf("uis: unsupported network %q", network)
@@ -213,7 +223,7 @@ func (s *Stack) DialContext(ctx context.Context, network, addr string) (net.Conn
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
-	return s.dial(raddr, uint16(port), deadline)
+	return s.dial(ctx, raddr, uint16(port), deadline)
 }
 
 func (s *Stack) resolve(host string) (packet.Addr, bool) {

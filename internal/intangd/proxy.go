@@ -32,11 +32,9 @@ type Config struct {
 	// IdleTimeout expires flows with no traffic for this long on the
 	// wall clock (default 60s).
 	IdleTimeout time.Duration
-	// Tick is the wall-clock granularity driving the world's virtual
-	// clock (default 1ms). TimeScale multiplies wall time into virtual
-	// time (default 1.0) — raise it to compress the censor's 90-second
-	// block windows into test-sized waits.
-	Tick      time.Duration
+	// TimeScale multiplies wall time into the world's virtual time
+	// (default 1.0) — raise it to compress the censor's 90-second block
+	// windows into test-sized waits.
 	TimeScale float64
 	// Shards sizes the flow table (default 16, rounded to a power of
 	// two).
@@ -49,15 +47,17 @@ type Config struct {
 // uis.Stack so stock net code can dial through it).
 //
 // One mutex serializes the world — the simulator, the engine, and the
-// censor devices; the client pump and the clock pump are the only
-// goroutines that take it besides control-plane calls. The flow table
-// has its own sharded locks so /flows scrapes never stall the packet
-// path on the world lock.
+// censor devices; the client pump, the clock pump and the expiry pump
+// are the only goroutines that take it besides control-plane calls. An
+// event-driven netem.Clock drives the world's virtual time, so an idle
+// proxy sleeps. The flow table has its own sharded locks so /flows
+// scrapes never stall the packet path on the world lock.
 type Proxy struct {
 	cfg Config
 
 	mu     sync.Mutex // world lock
 	sim    *netem.Simulator
+	clock  *netem.Clock
 	path   *netem.Path
 	cen    censor.Instance // nil for chain-only censors
 	engine *core.Engine
@@ -98,9 +98,6 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 60 * time.Second
 	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
-	}
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
@@ -116,8 +113,12 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p.rec = obs.NewRecorder(obs.DefaultRingSize, p.sim.Now)
 	bundle := obs.New(p.reg, p.rec)
+	p.clock = netem.NewClock(p.sim, &p.mu, cfg.TimeScale, p.reg.Counter("intangd.clock-wakes"))
 
-	p.path = &netem.Path{Sim: p.sim}
+	// The world draws every packet it crafts, clones or parses from
+	// the client device's pool.
+	p.ext, p.cdev = device.NewPipe(4096)
+	p.path = &netem.Path{Sim: p.sim, Pool: p.cdev.PacketPool()}
 	for i := 0; i < cfg.Hops; i++ {
 		p.path.Hops = append(p.path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
 	}
@@ -166,12 +167,10 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 
-	ext, cdev := device.NewPipe(4096)
-	p.ext, p.cdev = ext, cdev
-
-	p.wg.Add(2)
+	p.wg.Add(3)
 	go p.clientPump()
 	go p.clockPump()
+	go p.expirePump()
 	return p, nil
 }
 
@@ -255,7 +254,7 @@ func (p *Proxy) CensorStat(kind string) int {
 // block window (and what the tests use instead of sleeping 90s).
 func (p *Proxy) AdvanceVirtual(d time.Duration) {
 	p.mu.Lock()
-	p.sim.RunFor(d)
+	p.clock.Advance(d)
 	p.mu.Unlock()
 }
 
@@ -278,55 +277,48 @@ func (p *Proxy) clientPump() {
 			return
 		}
 		p.mu.Lock()
+		p.clock.Sync()
 		if p.flows.TouchOutbound(pkt, p.stratName, time.Now(), p.sim.Now()) {
 			p.reg.Inc("intangd.flows-opened")
 		}
 		p.reg.Inc("intangd.pkts-out")
 		p.reg.Add("intangd.bytes-out", pktBytes(pkt))
 		p.engine.Outbound(pkt)
+		p.clock.Kick()
 		p.mu.Unlock()
 	}
 }
 
 // inbound is the engine's Upstream: it runs inside simulator events
-// with the world lock held. The packet still belongs to the substrate,
-// and the pipe serializes synchronously, so handing it over copies by
-// construction.
+// with the world lock held. The packet still belongs to the path, which
+// releases it after delivery, while the pipe takes ownership of what it
+// is written — so the pipe gets a pooled clone.
 func (p *Proxy) inbound(pkt *packet.Packet) {
 	p.flows.TouchInbound(pkt, time.Now(), p.sim.Now())
 	p.reg.Inc("intangd.pkts-in")
 	p.reg.Add("intangd.bytes-in", pktBytes(pkt))
-	_ = p.cdev.WritePacket(pkt)
+	_ = p.cdev.WritePacket(p.path.Pool.Clone(pkt))
 }
 
-// clockPump advances the world with the wall clock and expires idle
-// flows. Expiry prunes the flow table under its own shard locks, then
-// takes the world lock once to drop the engine's matching state.
+// clockPump runs the world's clock driver until Close.
 func (p *Proxy) clockPump() {
 	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.Tick)
+	p.clock.Run(p.stop, nil)
+}
+
+// expirePump expires idle flows on the wall clock. Expiry prunes the
+// flow table under its own shard locks, then takes the world lock once
+// to drop the engine's matching state.
+func (p *Proxy) expirePump() {
+	defer p.wg.Done()
+	every := max(p.cfg.IdleTimeout/4, 50*time.Millisecond)
+	t := time.NewTicker(every)
 	defer t.Stop()
-	expireEvery := p.cfg.IdleTimeout / 4
-	if expireEvery < 50*time.Millisecond {
-		expireEvery = 50 * time.Millisecond
-	}
-	ex := time.NewTicker(expireEvery)
-	defer ex.Stop()
-	last := time.Now()
 	for {
 		select {
 		case <-p.stop:
 			return
 		case now := <-t.C:
-			el := now.Sub(last)
-			last = now
-			if p.cfg.TimeScale != 1 {
-				el = time.Duration(float64(el) * p.cfg.TimeScale)
-			}
-			p.mu.Lock()
-			p.sim.RunFor(el)
-			p.mu.Unlock()
-		case now := <-ex.C:
 			expired := p.flows.Expire(now, p.cfg.IdleTimeout)
 			if len(expired) == 0 {
 				continue

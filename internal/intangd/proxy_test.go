@@ -3,6 +3,7 @@ package intangd_test
 import (
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -130,6 +131,9 @@ func TestProxyRegistryFlushesPathCounters(t *testing.T) {
 	if c["netem.send"] == 0 || c["netem.deliver"] == 0 {
 		t.Fatalf("registry after one fetch: netem.send=%d netem.deliver=%d", c["netem.send"], c["netem.deliver"])
 	}
+	if c["intangd.clock-wakes"] == 0 {
+		t.Fatalf("registry after one fetch: the world's clock never woke")
+	}
 	stop, addr, err := p.ServePlane("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ServePlane: %v", err)
@@ -143,6 +147,9 @@ func TestProxyRegistryFlushesPathCounters(t *testing.T) {
 	mresp.Body.Close()
 	if !strings.Contains(string(body), "intangd_netem_send_total ") {
 		t.Fatalf("/metrics lacks the path counters:\n%s", body)
+	}
+	if !strings.Contains(string(body), "intangd_intangd_clock_wakes_total ") {
+		t.Fatalf("/metrics lacks the clock's wake-ups:\n%s", body)
 	}
 }
 
@@ -202,5 +209,85 @@ func TestResolveStrategy(t *testing.T) {
 	}
 	if _, _, err := intangd.ResolveStrategy("no-such-strategy-!!!"); err == nil {
 		t.Errorf("garbage ref resolved")
+	}
+}
+
+// TestIdleProxySleeps: a proxy with a userspace stack attached and no
+// traffic makes no clock wake-ups — the pumps sleep until there is an
+// event to run — yet the first fetch wakes them at once.
+func TestIdleProxySleeps(t *testing.T) {
+	p, err := intangd.New(intangd.Config{Censor: testCensor, Strategy: "teardown-reversal", Seed: 7})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer p.Close()
+	cli := uis.New(p.ClientDevice(), uis.Config{
+		Addr:  p.ClientAddr(),
+		Seed:  1,
+		Hosts: map[string]packet.Addr{"origin.example": p.ServerAddr()},
+	})
+	defer cli.Close()
+	hc := &http.Client{Transport: &http.Transport{DialContext: cli.DialContext, DisableKeepAlives: true}}
+
+	time.Sleep(200 * time.Millisecond)
+	if n := p.Registry().Value("intangd.clock-wakes"); n != 0 {
+		t.Errorf("idle proxy: intangd.clock-wakes = %d, want 0", n)
+	}
+	if n := cli.ClockWakes(); n != 0 {
+		t.Errorf("idle stack: %d clock wake-ups, want 0", n)
+	}
+
+	resp, err := hc.Get("http://origin.example/")
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if p.Registry().Value("intangd.clock-wakes") == 0 {
+		t.Errorf("the fetch never woke the world's clock")
+	}
+	// The flow's virtual lifetime is the fetch's own ~0.12 s: its first
+	// packet landed at wall-now, not back when the clock last ran, and
+	// no packet waited for a retransmission to be noticed.
+	for _, v := range p.FlowViews() {
+		t.Logf("flow %s: %d ms of virtual time", v.Tuple, v.VirtMS)
+		if v.VirtMS >= 200 {
+			t.Errorf("flow %s lived %d ms of virtual time, want the fetch's ~120", v.Tuple, v.VirtMS)
+		}
+	}
+}
+
+// TestProxyCloseLeaksNoGoroutines: after a fetch, closing the client
+// stack and the proxy leaves no goroutine behind.
+func TestProxyCloseLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	func() {
+		p, err := intangd.New(intangd.Config{Censor: testCensor, Strategy: "teardown-reversal", Seed: 7})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer p.Close()
+		cli := uis.New(p.ClientDevice(), uis.Config{
+			Addr:  p.ClientAddr(),
+			Seed:  1,
+			Hosts: map[string]packet.Addr{"origin.example": p.ServerAddr()},
+		})
+		defer cli.Close()
+		tr := &http.Transport{DialContext: cli.DialContext, DisableKeepAlives: true}
+		defer tr.CloseIdleConnections()
+		resp, err := (&http.Client{Transport: tr, Timeout: 15 * time.Second}).Get("http://origin.example/")
+		if err != nil {
+			t.Fatalf("GET: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines left, started with %d:\n%s", runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

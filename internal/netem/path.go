@@ -153,6 +153,10 @@ type Path struct {
 	shapers  [][2]*linkShaper
 	shapeChk bool
 	shaped   bool
+
+	// labels memoizes the flight-recorder location labels ("<element>
+	// <dir>"), indexed by element+1 and direction, built on first use.
+	labels [][2]string
 }
 
 // TraceEvent is one observable packet event.
@@ -262,7 +266,9 @@ var pathEventCounters = [numPathEvents]string{
 	"netem.drop-queue", "netem.drop-red",
 }
 
-func (p *Path) trace(where string, ev int, dir Direction, pkt *packet.Packet) {
+// trace records one packet event at element idx (-1 the client,
+// len(Hops) the server).
+func (p *Path) trace(idx int, ev int, dir Direction, pkt *packet.Packet) {
 	p.counts[ev]++
 	p.lastAt = p.Sim.Now()
 	if ev == evSend || ev == evInject {
@@ -277,11 +283,24 @@ func (p *Path) trace(where string, ev int, dir Direction, pkt *packet.Packet) {
 			seq = uint32(pkt.TCP.Seq)
 			flags = pkt.TCP.Flags
 		}
-		p.Obs.TracePkt("netem", pathEventLabels[ev], pkt.Lin.ID, pkt.Lin.Parent, seq, flags, where+" "+dir.String())
+		p.Obs.TracePkt("netem", pathEventLabels[ev], pkt.Lin.ID, pkt.Lin.Parent, seq, flags, p.label(idx, dir))
 	}
 	if p.Trace != nil {
-		p.Trace(TraceEvent{Time: p.Sim.Now(), Where: where, Event: pathEventLabels[ev], Dir: dir, Pkt: pkt})
+		p.Trace(TraceEvent{Time: p.Sim.Now(), Where: p.elementName(idx), Event: pathEventLabels[ev], Dir: dir, Pkt: pkt})
 	}
+}
+
+// label returns "<element name> <dir>" for element idx, building it
+// once per path rather than once per event.
+func (p *Path) label(idx int, dir Direction) string {
+	if len(p.labels) != len(p.Hops)+2 {
+		p.labels = make([][2]string, len(p.Hops)+2)
+	}
+	l := &p.labels[idx+1][dir]
+	if *l == "" {
+		*l = p.elementName(idx) + " " + dir.String()
+	}
+	return *l
 }
 
 // StampLineage assigns pkt its path-unique wire ID if it does not have
@@ -342,11 +361,11 @@ func (p *Path) release(pkt *packet.Packet) {
 // SendFromClient transmits pkt from the client end.
 func (p *Path) SendFromClient(pkt *packet.Packet) {
 	if p.MTU > 0 && wireSize(pkt) > p.MTU {
-		p.trace("client", evDropMTU, ToServer, pkt)
+		p.trace(-1, evDropMTU, ToServer, pkt)
 		p.release(pkt)
 		return
 	}
-	p.trace("client", evSend, ToServer, pkt)
+	p.trace(-1, evSend, ToServer, pkt)
 	p.emit(-1, ToServer, pkt, 0, false)
 }
 
@@ -366,7 +385,7 @@ func wireSize(pkt *packet.Packet) int {
 
 // SendFromServer transmits pkt from the server end.
 func (p *Path) SendFromServer(pkt *packet.Packet) {
-	p.trace("server", evSend, ToClient, pkt)
+	p.trace(p.serverIndex(), evSend, ToClient, pkt)
 	p.emit(p.serverIndex(), ToClient, pkt, 0, false)
 }
 
@@ -450,7 +469,7 @@ func (p *Path) shaperAt(from int, dir Direction) *linkShaper {
 // the propagation latency, or drops the packet at a full queue.
 func (p *Path) emit(from int, dir Direction, pkt *packet.Packet, extraDelay time.Duration, inject bool) {
 	if inject && from >= 0 && from < p.serverIndex() {
-		p.trace(p.Hops[from].Name, evInject, dir, pkt)
+		p.trace(from, evInject, dir, pkt)
 	}
 	lat, _ := p.linkFrom(from, dir)
 	delay := extraDelay + lat
@@ -458,7 +477,7 @@ func (p *Path) emit(from int, dir Direction, pkt *packet.Packet, extraDelay time
 		if sh := p.shaperAt(from, dir); sh != nil {
 			qd, ev := sh.admit(p.Sim, wireSize(pkt))
 			if ev >= 0 {
-				p.trace(p.elementName(from), ev, dir, pkt)
+				p.trace(from, ev, dir, pkt)
 				p.release(pkt)
 				return
 			}
@@ -479,7 +498,7 @@ func (p *Path) HandlePacket(pkt *packet.Packet, from int, dir Direction) {
 		next = from - 1
 	}
 	if loss > 0 && p.Sim.Rand().Float64() < loss {
-		p.trace(p.elementName(next), evDropLoss, dir, pkt)
+		p.trace(next, evDropLoss, dir, pkt)
 		p.release(pkt)
 		return
 	}
@@ -501,14 +520,14 @@ func (p *Path) elementName(idx int) string {
 func (p *Path) arrive(idx int, dir Direction, pkt *packet.Packet) {
 	switch {
 	case idx < 0:
-		p.trace("client", evDeliver, dir, pkt)
+		p.trace(-1, evDeliver, dir, pkt)
 		if p.Client != nil {
 			p.Client.Deliver(pkt)
 		}
 		p.release(pkt)
 		return
 	case idx >= p.serverIndex():
-		p.trace("server", evDeliver, dir, pkt)
+		p.trace(p.serverIndex(), evDeliver, dir, pkt)
 		if p.Server != nil {
 			p.Server.Deliver(pkt)
 		}
@@ -528,17 +547,17 @@ func (p *Path) arrive(idx int, dir Direction, pkt *packet.Packet) {
 		// dropped by routers or middleboxes" and therefore make poor
 		// insertion packets.
 		if !pkt.IP.VerifyChecksum() {
-			p.trace(hop.Name, evDropIPck, dir, pkt)
+			p.trace(idx, evDropIPck, dir, pkt)
 			p.release(pkt)
 			return
 		}
 		if len(pkt.IP.Options) > 0 {
-			p.trace(hop.Name, evDropIPOpt, dir, pkt)
+			p.trace(idx, evDropIPOpt, dir, pkt)
 			p.release(pkt)
 			return
 		}
 		if pkt.IP.TTL <= 1 {
-			p.trace(hop.Name, evDropTTL, dir, pkt)
+			p.trace(idx, evDropTTL, dir, pkt)
 			p.sendTimeExceeded(idx, dir, pkt)
 			p.release(pkt)
 			return
@@ -553,12 +572,12 @@ func (p *Path) arrive(idx int, dir Direction, pkt *packet.Packet) {
 				p.Obs.Count("middlebox.drop." + proc.Name())
 				p.Obs.Count("middlebox.drop-kind." + pktKind(pkt))
 			}
-			p.trace(hop.Name, evDropProc, dir, pkt)
+			p.trace(idx, evDropProc, dir, pkt)
 			p.release(pkt)
 			return
 		}
 	}
-	p.trace(hop.Name, evFwd, dir, pkt)
+	p.trace(idx, evFwd, dir, pkt)
 	p.emit(idx, dir, pkt, 0, false)
 }
 

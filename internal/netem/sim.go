@@ -199,5 +199,15 @@ func (s *Simulator) RunFor(d time.Duration) {
 	s.now = deadline
 }
 
+// NextAt returns the instant of the earliest pending event; ok is false
+// when the queue is empty.
+func (s *Simulator) NextAt() (at time.Duration, ok bool) {
+	n := len(s.buckets)
+	if n == 0 {
+		return 0, false
+	}
+	return s.buckets[n-1].at, true
+}
+
 // Pending returns the number of queued events.
 func (s *Simulator) Pending() int { return s.pending }

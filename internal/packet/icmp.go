@@ -53,7 +53,11 @@ func (m *ICMPMessage) computeChecksum() uint16 {
 }
 
 // DecodeFromBytes parses an ICMP message.
-func (m *ICMPMessage) DecodeFromBytes(data []byte) error {
+func (m *ICMPMessage) DecodeFromBytes(data []byte) error { return m.decode(data, nil) }
+
+// decode is DecodeFromBytes copying the body into body's storage; an
+// empty body stays nil.
+func (m *ICMPMessage) decode(data, body []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("icmp: truncated message: %d bytes", len(data))
 	}
@@ -61,7 +65,10 @@ func (m *ICMPMessage) DecodeFromBytes(data []byte) error {
 	m.Code = data[1]
 	m.Checksum = binary.BigEndian.Uint16(data[2:])
 	copy(m.Rest[:], data[4:8])
-	m.Body = append([]byte(nil), data[8:]...)
+	m.Body = nil
+	if len(data) > 8 {
+		m.Body = append(body[:0], data[8:]...)
+	}
 	return nil
 }
 

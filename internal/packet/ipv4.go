@@ -116,7 +116,10 @@ func (h *IPv4Header) SerializeTo(buf []byte, payloadLen int, opts SerializeOptio
 
 // DecodeFromBytes parses an IPv4 header from data and returns the header
 // length consumed.
-func (h *IPv4Header) DecodeFromBytes(data []byte) (int, error) {
+func (h *IPv4Header) DecodeFromBytes(data []byte) (int, error) { return h.decode(data, nil) }
+
+// decode is DecodeFromBytes copying any options into opts's storage.
+func (h *IPv4Header) decode(data, opts []byte) (int, error) {
 	if len(data) < IPv4HeaderLen {
 		return 0, fmt.Errorf("ipv4: truncated header: %d bytes", len(data))
 	}
@@ -142,7 +145,7 @@ func (h *IPv4Header) DecodeFromBytes(data []byte) (int, error) {
 	copy(h.Src[:], data[12:16])
 	copy(h.Dst[:], data[16:20])
 	if hl > IPv4HeaderLen {
-		h.Options = append([]byte(nil), data[IPv4HeaderLen:hl]...)
+		h.Options = append(opts[:0], data[IPv4HeaderLen:hl]...)
 	} else {
 		h.Options = nil
 	}

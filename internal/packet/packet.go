@@ -2,6 +2,7 @@ package packet
 
 import (
 	"fmt"
+	"slices"
 )
 
 // FourTuple identifies a TCP or UDP flow. Tuples compare with == and key
@@ -112,21 +113,37 @@ func (p *Packet) EndSeq() Seq {
 	return p.TCP.Seq.Add(p.SegLen())
 }
 
-// Serialize encodes the full datagram to wire bytes.
-func (p *Packet) Serialize(opts SerializeOptions) []byte {
-	var l4 []byte
+// Serialize encodes the full datagram to wire bytes in a fresh buffer.
+func (p *Packet) Serialize(opts SerializeOptions) []byte { return p.AppendTo(nil, opts) }
+
+// AppendTo appends the datagram's wire encoding to buf and returns the
+// extended slice — the one encoder every wire image goes through. It
+// grows buf at most once, so a caller that recycles its buffer (the
+// pipe device) encodes without allocating.
+func (p *Packet) AppendTo(buf []byte, opts SerializeOptions) []byte {
+	var l4len int
 	switch {
 	case p.TCP != nil:
-		l4 = p.TCP.SerializeTo(nil, p.IP.Src, p.IP.Dst, p.Payload, opts)
+		l4len = p.TCP.HeaderLen() + len(p.Payload)
 	case p.UDP != nil:
-		l4 = p.UDP.SerializeTo(nil, p.IP.Src, p.IP.Dst, p.Payload, opts)
+		l4len = UDPHeaderLen + len(p.Payload)
 	case p.ICMP != nil:
-		l4 = p.ICMP.SerializeTo(nil, opts)
+		l4len = 8 + len(p.ICMP.Body)
 	default:
-		l4 = p.Payload
+		l4len = len(p.Payload)
 	}
-	buf := p.IP.SerializeTo(nil, len(l4), opts)
-	return append(buf, l4...)
+	// SerializeTo pads IP options to a 4-byte multiple; reserve for it.
+	buf = slices.Grow(buf, IPv4HeaderLen+(len(p.IP.Options)+3)&^3+l4len)
+	buf = p.IP.SerializeTo(buf, l4len, opts)
+	switch {
+	case p.TCP != nil:
+		return p.TCP.SerializeTo(buf, p.IP.Src, p.IP.Dst, p.Payload, opts)
+	case p.UDP != nil:
+		return p.UDP.SerializeTo(buf, p.IP.Src, p.IP.Dst, p.Payload, opts)
+	case p.ICMP != nil:
+		return p.ICMP.SerializeTo(buf, opts)
+	}
+	return append(buf, p.Payload...)
 }
 
 // Finalize computes honest checksums and length fields in place. Call it
@@ -152,13 +169,22 @@ func (p *Packet) Finalize() *Packet {
 	return p
 }
 
-// Parse decodes a full IPv4 datagram from wire bytes. Non-first
-// fragments keep their L4 bytes in Payload with TCP/UDP/ICMP nil.
-func Parse(data []byte) (*Packet, error) {
-	p := &Packet{}
-	n, err := p.IP.DecodeFromBytes(data)
+// Parse decodes a full IPv4 datagram from wire bytes into a fresh heap
+// packet: the nil-pool case of Pool.Parse. Non-first fragments keep
+// their L4 bytes in Payload with TCP/UDP/ICMP nil.
+func Parse(data []byte) (*Packet, error) { return (*Pool)(nil).Parse(data) }
+
+// decode fills p (fresh from Pool.Get) from wire bytes. Headers land in
+// the packet's inline stores and every byte the packet keeps — IP and
+// TCP options, the ICMP body, the payload — is copied into its reusable
+// buffers, so data may be overwritten as soon as decode returns.
+func (p *Packet) decode(data []byte) error {
+	n, err := p.IP.decode(data, p.ipOptBuf)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if p.IP.Options != nil {
+		p.ipOptBuf = p.IP.Options[:0]
 	}
 	end := int(p.IP.TotalLength)
 	if end > len(data) || end < n {
@@ -166,33 +192,31 @@ func Parse(data []byte) (*Packet, error) {
 	}
 	l4 := data[n:end]
 	if p.IP.FragOffset != 0 {
-		p.Payload = append([]byte(nil), l4...)
-		return p, nil
+		p.setPayload(l4)
+		return nil
 	}
 	switch p.IP.Protocol {
 	case ProtoTCP:
-		p.TCP = &TCPHeader{}
-		hn, err := p.TCP.DecodeFromBytes(l4)
+		hn, err := p.UseTCP().decode(l4, p)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		p.Payload = append([]byte(nil), l4[hn:]...)
+		p.setPayload(l4[hn:])
 	case ProtoUDP:
-		p.UDP = &UDPHeader{}
-		hn, err := p.UDP.DecodeFromBytes(l4)
+		hn, err := p.UseUDP().DecodeFromBytes(l4)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		p.Payload = append([]byte(nil), l4[hn:]...)
+		p.setPayload(l4[hn:])
 	case ProtoICMP:
-		p.ICMP = &ICMPMessage{}
-		if err := p.ICMP.DecodeFromBytes(l4); err != nil {
-			return nil, err
+		m := p.UseICMP()
+		if err := m.decode(l4, m.Body); err != nil {
+			return err
 		}
 	default:
-		p.Payload = append([]byte(nil), l4...)
+		p.setPayload(l4)
 	}
-	return p, nil
+	return nil
 }
 
 // Clone returns a deep copy, so middleboxes and the GFW tap can mutate

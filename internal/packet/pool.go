@@ -150,6 +150,29 @@ func (p *Packet) SetPayload(data []byte) {
 	p.Payload = p.payloadBuf
 }
 
+// setPayload is SetPayload for decoders: an empty payload stays nil, as
+// the heap decoder has always left it.
+func (p *Packet) setPayload(data []byte) {
+	if len(data) == 0 {
+		p.Payload = nil
+		return
+	}
+	p.SetPayload(data)
+}
+
+// Parse decodes a full IPv4 datagram from wire bytes into a packet from
+// pl (a plain heap packet when pl is nil), copying everything it keeps:
+// the caller may reuse data at once, and releasing the packet recycles
+// its headers and buffers. On error the packet goes straight back.
+func (pl *Pool) Parse(data []byte) (*Packet, error) {
+	p := pl.Get()
+	if err := p.decode(data); err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
+}
+
 // optScratch carves n fresh bytes out of the option-data scratch
 // region. Earlier slices stay valid across growth (they keep pointing
 // at the old backing array, which is simply not reused).

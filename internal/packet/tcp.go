@@ -172,7 +172,12 @@ func (h *TCPHeader) SerializeTo(buf []byte, src, dst Addr, payload []byte, opts 
 
 // DecodeFromBytes parses a TCP header from data, returning the header
 // length consumed. The payload is data[consumed:].
-func (h *TCPHeader) DecodeFromBytes(data []byte) (int, error) {
+func (h *TCPHeader) DecodeFromBytes(data []byte) (int, error) { return h.decode(data, nil) }
+
+// decode is DecodeFromBytes with a storage owner: when p is non-nil, h
+// is p's inline TCP store, and the option list and option data reuse
+// p's storage instead of the heap.
+func (h *TCPHeader) decode(data []byte, p *Packet) (int, error) {
 	if len(data) < TCPHeaderLen {
 		return 0, fmt.Errorf("tcp: truncated header: %d bytes", len(data))
 	}
@@ -186,6 +191,10 @@ func (h *TCPHeader) DecodeFromBytes(data []byte) (int, error) {
 	h.Window = binary.BigEndian.Uint16(data[14:])
 	h.Checksum = binary.BigEndian.Uint16(data[16:])
 	h.Urgent = binary.BigEndian.Uint16(data[18:])
+	var opts []TCPOption
+	if p != nil {
+		opts = h.Options[:0]
+	}
 	h.Options = nil
 	if hl < TCPHeaderLen {
 		return 0, fmt.Errorf("tcp: header length %d < 20", hl)
@@ -193,30 +202,37 @@ func (h *TCPHeader) DecodeFromBytes(data []byte) (int, error) {
 	if len(data) < hl {
 		return 0, fmt.Errorf("tcp: truncated options: have %d want %d", len(data), hl)
 	}
-	p := TCPHeaderLen
-opts:
-	for p < hl {
-		switch kind := data[p]; kind {
+	i := TCPHeaderLen
+scan:
+	for i < hl {
+		switch kind := data[i]; kind {
 		case OptEnd:
-			break opts
+			break scan
 		case OptNOP:
-			h.Options = append(h.Options, TCPOption{Kind: OptNOP})
-			p++
+			opts = append(opts, TCPOption{Kind: OptNOP})
+			i++
 		default:
-			if p+1 >= hl {
+			if i+1 >= hl {
 				return 0, fmt.Errorf("tcp: option %d truncated", kind)
 			}
-			olen := int(data[p+1])
-			if olen < 2 || p+olen > hl {
+			olen := int(data[i+1])
+			if olen < 2 || i+olen > hl {
 				return 0, fmt.Errorf("tcp: option %d bad length %d", kind, olen)
 			}
-			h.Options = append(h.Options, TCPOption{
-				Kind: kind,
-				Data: append([]byte(nil), data[p+2:p+olen]...),
-			})
-			p += olen
+			var d []byte
+			switch {
+			case olen == 2:
+			case p != nil:
+				d = p.optScratch(olen - 2)
+				copy(d, data[i+2:i+olen])
+			default:
+				d = append([]byte(nil), data[i+2:i+olen]...)
+			}
+			opts = append(opts, TCPOption{Kind: kind, Data: d})
+			i += olen
 		}
 	}
+	h.Options = opts
 	return hl, nil
 }
 

@@ -135,9 +135,7 @@ func main() {
 	}
 	if want("ablation") {
 		ran = true
-		fmt.Println("== §8 ablation: GFW countermeasures vs strategy suite ==")
-		fmt.Print(experiment.FormatAblation(experiment.RunAblation(r)))
-		fmt.Println()
+		experiment.WriteAblationCampaign(os.Stdout, r)
 	}
 	if want("diagnose") {
 		ran = true

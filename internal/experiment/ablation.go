@@ -5,48 +5,22 @@ import (
 	"strings"
 
 	"intango/internal/censor"
-	"intango/internal/core"
-	"intango/internal/gfw"
 	"intango/internal/tcpstack"
 )
 
-// Hardening names a §8 countermeasure configuration of the censor.
-type Hardening struct {
-	Name  string
-	Apply func(cfg *gfw.Config)
-}
-
-// Hardenings returns the §8 ablation ladder: the measured GFW plus
-// each discussed countermeasure.
-func Hardenings() []Hardening {
-	return []Hardening{
-		{Name: "measured (2017)", Apply: func(cfg *gfw.Config) {}},
-		{Name: "+checksum validation", Apply: func(cfg *gfw.Config) { cfg.ValidateTCPChecksum = true }},
-		{Name: "+md5 validation", Apply: func(cfg *gfw.Config) { cfg.ValidateMD5 = true }},
-		{Name: "+trust-after-server-ack", Apply: func(cfg *gfw.Config) { cfg.TrustDataAfterServerACK = true }},
-		{Name: "+all of the above", Apply: func(cfg *gfw.Config) {
-			cfg.ValidateTCPChecksum = true
-			cfg.ValidateMD5 = true
-			cfg.TrustDataAfterServerACK = true
-		}},
-	}
-}
-
-// AblationCensorSpec pairs a Hardenings() rung with the canonical
-// censor-spec edit string expressing the same censor declaratively:
-// the gfw2017 registry spec with the matching harden: statements
-// appended and the detection-miss draw pinned off (param:miss(p=0)),
-// exactly as runHardened pins it via Cal. TestAblationSpecsMatchConfig
-// holds the two constructions to identical behaviour.
+// AblationCensorSpec is one §8 rung: the countermeasure's name and the
+// canonical censor spec expressing it — the gfw2017 registry spec with
+// the matching harden: statements appended and the detection-miss draw
+// pinned off (param:miss(p=0)), so every cell is deterministic.
 type AblationCensorSpec struct {
 	Hardening string
 	Spec      string
 }
 
-// AblationCensorSpecs returns the §8 ablation ladder as censor-spec
-// edits: the registered gfw2017 variants with the detection-miss draw
-// pinned — each rung a pure text edit of the measured spec, the
-// countermeasures data rather than code toggles.
+// AblationCensorSpecs returns the §8 ablation ladder, the measured GFW
+// plus each discussed countermeasure: the registered gfw2017 variants
+// with the detection-miss draw pinned — each rung a pure text edit of
+// the measured spec, the countermeasures data rather than code toggles.
 func AblationCensorSpecs() []AblationCensorSpec {
 	pinned := func(name string) string {
 		spec, ok := censor.Lookup(name)
@@ -90,44 +64,37 @@ func ablationStrategies() []strategySpec {
 
 // RunAblation sweeps strategies against each hardened censor on clean
 // controlled paths, on a modern server and (for the MD5 arms race) a
-// pre-RFC-2385 server.
+// pre-RFC-2385 server. Every cell is one trial whose job carries its
+// rung's censor spec; r.Censor is not consulted.
 func RunAblation(r *Runner) []AblationCell {
 	vp := VantagePoints()[0]
-	base := Servers(1, r.Cal, r.Seed)[0]
-	base.Mix = EvolvedOnly
-	base.ServerSideFirewall = false
-	base.RouteDynamicsProb = 0
-	base.LossRate = 0
-
+	base := controlledServers(r, 1)[0]
 	stacks := []tcpstack.Profile{tcpstack.Linux44(), tcpstack.Linux2437()}
 
 	var cells []AblationCell
-	for _, h := range Hardenings() {
+	var jobs []trialJob
+	for _, h := range AblationCensorSpecs() {
 		for _, strat := range ablationStrategies() {
 			factory := strat.compile()
 			for _, stack := range stacks {
 				srv := base
 				srv.Stack = stack
-				out := r.runHardened(vp, srv, factory, h)
-				cells = append(cells, AblationCell{
-					Strategy: strat.name, Hardening: h.Name, Server: stack.Name, Outcome: out,
-				})
+				jobs = append(jobs, trialJob{vp, srv, factory, true, 17, len(cells), strat.name, h.Spec})
+				cells = append(cells, AblationCell{Strategy: strat.name, Hardening: h.Hardening, Server: stack.Name})
 			}
 		}
 	}
+	for i, t := range r.RunParallel(jobs, len(cells), r.Workers) {
+		switch {
+		case t.Success > 0:
+			cells[i].Outcome = Success
+		case t.Failure1 > 0:
+			cells[i].Outcome = Failure1
+		default:
+			cells[i].Outcome = Failure2
+		}
+	}
 	return cells
-}
-
-// runHardened is RunOne with a hardened GFW configuration.
-func (r *Runner) runHardened(vp VantagePoint, srv Server, factory core.Factory, h Hardening) Outcome {
-	saved := r.Cal.DetectionMissProb
-	r.Cal.DetectionMissProb = -1 // deterministic ablation
-	r.HardenGFW = h.Apply
-	defer func() {
-		r.Cal.DetectionMissProb = saved
-		r.HardenGFW = nil
-	}()
-	return r.RunOne(vp, srv, factory, true, 17)
 }
 
 // FormatAblation renders the matrix, one block per hardening.

@@ -22,7 +22,7 @@ func TestArenaReuseDeterminism(t *testing.T) {
 		for trial := 0; trial < 2; trial++ {
 			for k := 0; k < len(vps)*len(servers); k++ {
 				vp, srv := vps[k%len(vps)], servers[(k+k/len(vps))%len(servers)]
-				jobs = append(jobs, trialJob{vp, srv, factory, k%2 == trial%2, trial, si, spec.name})
+				jobs = append(jobs, trialJob{vp, srv, factory, k%2 == trial%2, trial, si, spec.name, ""})
 			}
 		}
 	}
@@ -35,9 +35,8 @@ func TestArenaReuseDeterminism(t *testing.T) {
 	serial := func(arena func() *trialArena) ([]Tally, *ObsSink) {
 		r := newRunner()
 		tallies := make([]Tally, len(specs))
-		for _, job := range jobs {
-			out := r.runOne(job.vp, job.srv, job.factory, job.sensitive, job.trial, r.Obs, job.label, r.packetPool(), arena())
-			tallies[job.sink].Add(out)
+		for i := range jobs {
+			tallies[jobs[i].sink].Add(r.runOne(&jobs[i], r.Obs, arena()))
 		}
 		r.Obs.Finish()
 		return tallies, r.Obs
@@ -47,13 +46,7 @@ func TestArenaReuseDeterminism(t *testing.T) {
 	shared := new(trialArena)
 	reusedT, reusedObs := serial(func() *trialArena { return shared })
 	r := newRunner()
-	r.Workers = 3
-	parT := make([]Tally, len(specs))
-	ptrs := make([]*Tally, len(specs))
-	for i := range parT {
-		ptrs[i] = &parT[i]
-	}
-	r.RunParallel(jobs, ptrs)
+	parT := r.RunParallel(jobs, len(specs), 3)
 
 	if len(freshObs.Failures()) == 0 {
 		t.Fatal("no failing trial retained: the trace comparison would be vacuous")

@@ -6,7 +6,7 @@ import (
 )
 
 // The Write*Campaign functions produce the exact byte streams
-// `cmd/tables -what 1|4|5` prints — header, table, trailing blank line.
+// `cmd/tables -what 1|4|5|ablation` prints — header, table, trailing blank line.
 // They exist so the CLI and the golden-file regression tests share one
 // formatting path: TestTablesMatchGolden regenerates these streams and
 // compares them against internal/experiment/testdata/*.golden, pinning
@@ -24,7 +24,7 @@ func WriteTable1Campaign(w io.Writer, r *Runner, sc Scale) {
 // outside blocks plus the persistent-INTANG row.
 func WriteTable4Campaign(w io.Writer, r *Runner, sc Scale) {
 	fmt.Fprintf(w, "== Table 4: new strategies (%d servers × %d trials) ==\n", sc.Servers, sc.Trials)
-	inside := RunTable4Parallel(r, VantagePoints(), Servers(sc.Servers, r.Cal, r.Seed), sc.Trials)
+	inside := RunTable4(r, VantagePoints(), Servers(sc.Servers, r.Cal, r.Seed), sc.Trials)
 	inside = append(inside, RunTable4INTANG(r,
 		VantagePoints(), Servers(sc.Servers/2+1, r.Cal, r.Seed), sc.Trials))
 	fmt.Fprint(w, FormatTable4("Inside China", inside))
@@ -32,7 +32,7 @@ func WriteTable4Campaign(w io.Writer, r *Runner, sc Scale) {
 	if outN < 4 {
 		outN = 4
 	}
-	outside := RunTable4Parallel(r, OutsideVantagePoints(),
+	outside := RunTable4(r, OutsideVantagePoints(),
 		OutsideServers(outN, r.Cal, r.Seed), sc.Trials)
 	fmt.Fprint(w, FormatTable4("Outside China", outside))
 	fmt.Fprintln(w)
@@ -42,5 +42,12 @@ func WriteTable4Campaign(w io.Writer, r *Runner, sc Scale) {
 func WriteTable5Campaign(w io.Writer, r *Runner) {
 	fmt.Fprintln(w, "== Table 5: preferred insertion-packet constructions ==")
 	fmt.Fprint(w, FormatTable5(RunTable5(r)))
+	fmt.Fprintln(w)
+}
+
+// WriteAblationCampaign runs and prints the §8 ablation ladder.
+func WriteAblationCampaign(w io.Writer, r *Runner) {
+	fmt.Fprintln(w, "== §8 ablation: GFW countermeasures vs strategy suite ==")
+	fmt.Fprint(w, FormatAblation(RunAblation(r)))
 	fmt.Fprintln(w)
 }

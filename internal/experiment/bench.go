@@ -141,7 +141,6 @@ func benchTrialSplit(seed int64, reuse bool) BenchSplit {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, seed)[0]
 	factory := core.BuiltinFactories()["teardown-rst/ttl"]
-	pool := r.packetPool()
 	var split BenchSplit
 	testing.Benchmark(func(b *testing.B) {
 		var build, run time.Duration
@@ -151,7 +150,7 @@ func benchTrialSplit(seed int64, reuse bool) BenchSplit {
 				arena = new(trialArena)
 			}
 			t0 := time.Now()
-			rg := r.build(vp, srv, r.trialSeed(vp, srv, i), pool, arena)
+			rg := r.build(vp, srv, r.Censor, r.trialSeed(vp, srv, i), arena)
 			t1 := time.Now()
 			rg.run(srv, factory, true, nil, nil)
 			build += t1.Sub(t0)

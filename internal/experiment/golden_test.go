@@ -8,12 +8,13 @@ import (
 	"intango/internal/core"
 )
 
-// TestTablesMatchGolden regenerates the Table 1, 4 and 5 byte streams
-// (quick scale, seed 42 — what `cmd/tables -what 1|4|5` prints) and
-// compares them against the goldens captured before the strategy layer
-// was decomposed into spec-compiled primitives. Equality here is the
-// refactor's core guarantee: the declarative specs reproduce the
-// monolithic strategies bit for bit.
+// TestTablesMatchGolden regenerates the Table 1, 4 and 5 and ablation
+// byte streams (quick scale, seed 42 — what `cmd/tables -what
+// 1|4|5|ablation` prints) and compares them against committed goldens.
+// The table goldens were captured before the strategy layer was
+// decomposed into spec-compiled primitives, the ablation golden while
+// the §8 rungs were still config toggles on the calibrated GFW: the
+// declarative specs reproduce both bit for bit.
 func TestTablesMatchGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick-scale campaigns")
@@ -25,6 +26,7 @@ func TestTablesMatchGolden(t *testing.T) {
 		{"testdata/table1.golden", func(w *bytes.Buffer) { WriteTable1Campaign(w, NewRunner(42), QuickScale()) }},
 		{"testdata/table4.golden", func(w *bytes.Buffer) { WriteTable4Campaign(w, NewRunner(42), QuickScale()) }},
 		{"testdata/table5.golden", func(w *bytes.Buffer) { WriteTable5Campaign(w, NewRunner(42)) }},
+		{"testdata/ablation.golden", func(w *bytes.Buffer) { WriteAblationCampaign(w, NewRunner(42)) }},
 		{"testdata/goodput.golden", func(w *bytes.Buffer) {
 			r := NewRunner(42)
 			r.Obs = NewObsSink()
@@ -43,10 +45,10 @@ func TestTablesMatchGolden(t *testing.T) {
 	}
 }
 
-// TestTableSpecsMatchRegistry checks every strategy the campaign tables
-// define inline: the spec text must parse, and when its name is a
-// registered alias, the inline spec must be the registered one — the
-// tables and the registry may not silently diverge.
+// TestTableSpecsMatchRegistry checks every strategy a campaign job list
+// carries: the spec text must parse and be canonical, and when its name
+// is a registered alias, the inline spec must be the registered one —
+// the tables and the registry may not silently diverge.
 func TestTableSpecsMatchRegistry(t *testing.T) {
 	var all []strategySpec
 	for _, s := range table1Strategies() {
@@ -55,7 +57,11 @@ func TestTableSpecsMatchRegistry(t *testing.T) {
 	for _, s := range table4Strategies() {
 		all = append(all, s.strategySpec)
 	}
+	for _, s := range table5Constructions() {
+		all = append(all, s.strategySpec)
+	}
 	all = append(all, ablationStrategies()...)
+	all = append(all, matrixStrategies()...)
 	for _, s := range all {
 		spec, err := core.ParseSpec(s.spec)
 		if err != nil {

@@ -133,7 +133,7 @@ func goodputTopo(vp VantagePoint, srv Server) string {
 // campaigns measure bit-identically. A non-nil reg additionally folds
 // the trial into the goodput.bps / goodput.bytes histograms.
 func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, factory core.Factory, trial int, reg *obs.Registry) (bps int64, out Outcome) {
-	rg := r.build(vp, srv, r.trialSeed(vp, srv, trial), r.packetPool(), new(trialArena))
+	rg := r.build(vp, srv, r.Censor, r.trialSeed(vp, srv, trial), new(trialArena))
 	appsim.ServeHTTPUpload(rg.srv, 80)
 	if reg != nil {
 		rg.attachObs(obs.New(reg, obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)))

@@ -58,30 +58,25 @@ func matrixStrategies() []strategySpec {
 // clean controlled paths (no route dynamics, loss, or server-side
 // middleboxes — differences between cells are then attributable to the
 // censor alone).
+// Each cell's jobs carry its censor; r.Censor is not consulted.
 func RunCensorMatrix(r *Runner, censors []string, trials int) []MatrixCell {
 	vp := VantagePoints()[0]
-	servers := Servers(2, r.Cal, r.Seed)
-	for i := range servers {
-		servers[i].Mix = EvolvedOnly
-		servers[i].ServerSideFirewall = false
-		servers[i].RouteDynamicsProb = 0
-		servers[i].LossRate = 0
-	}
-	saved := r.Censor
-	defer func() { r.Censor = saved }()
+	servers := controlledServers(r, 2)
 	var cells []MatrixCell
+	var jobs []trialJob
 	for _, c := range censors {
-		r.Censor = c
 		for _, strat := range matrixStrategies() {
 			factory := strat.compile()
-			cell := MatrixCell{Strategy: strat.name, Censor: c}
 			for _, srv := range servers {
 				for trial := 0; trial < trials; trial++ {
-					cell.T.Add(r.RunOne(vp, srv, factory, true, trial))
+					jobs = append(jobs, trialJob{vp, srv, factory, true, trial, len(cells), strat.name, c})
 				}
 			}
-			cells = append(cells, cell)
+			cells = append(cells, MatrixCell{Strategy: strat.name, Censor: c})
 		}
+	}
+	for i, t := range r.RunParallel(jobs, len(cells), r.Workers) {
+		cells[i].T = t
 	}
 	return cells
 }

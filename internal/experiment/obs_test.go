@@ -27,24 +27,26 @@ func TestObsSerialParallelDeterminism(t *testing.T) {
 	rowsSerial, obsSerial := run(1, false)
 	rowsPar, obsPar := run(8, false)
 
-	// Per-worker pools arm: private recycling per worker must be just as
-	// invisible as the shared sync.Pool — bit-identical rows and full
-	// snapshots — while the pools actually see the traffic.
+	// Serial RunTable1 arm: the serial entry point runs the same cube
+	// on the same executor, so it keeps the same failure traces — same
+	// strategy labels, same retention bound — and the same snapshot.
 	{
 		r := NewRunner(42)
-		r.Workers = 8
-		r.PerWorkerPool = true
+		r.Workers = 8 // RunTable1 stays serial regardless
 		r.Obs = NewObsSink()
-		rowsPW := RunTable1Parallel(r, scale)
-		if !reflect.DeepEqual(rowsSerial, rowsPW) {
-			t.Errorf("per-worker pools changed table rows:\nshared: %+v\nper-worker: %+v", rowsSerial, rowsPW)
+		rowsT1 := RunTable1(r, scale)
+		if !reflect.DeepEqual(rowsSerial, rowsT1) {
+			t.Errorf("serial RunTable1 rows differ:\nRunTable1Parallel: %+v\nRunTable1: %+v", rowsSerial, rowsT1)
 		}
 		if !reflect.DeepEqual(obsSerial.Snapshot(), r.Obs.Snapshot()) {
-			t.Errorf("per-worker pools changed the obs snapshot")
+			t.Errorf("serial RunTable1 obs snapshot differs from RunTable1Parallel's")
 		}
-		ps := r.PoolStats()
-		if ps.Gets == 0 || ps.Recycled() == 0 {
-			t.Errorf("per-worker pools saw no traffic: %+v", ps)
+		if !reflect.DeepEqual(obsSerial.Failures(), r.Obs.Failures()) {
+			t.Errorf("serial RunTable1 failure traces differ:\nRunTable1Parallel: %+v\nRunTable1: %+v",
+				obsSerial.Failures(), r.Obs.Failures())
+		}
+		if ps := r.PoolStats(); ps.Gets == 0 || ps.Recycled() == 0 {
+			t.Errorf("shared packet pool saw no traffic: %+v", ps)
 		}
 	}
 
@@ -260,9 +262,10 @@ func TestObsSerialParallelDeterminism(t *testing.T) {
 	vp := VantagePoints()[0]
 	srv := Servers(1, rTrace.Cal, 42)[0]
 	f := core.BuiltinFactories()["teardown-rst/ttl"]
-	outPlain, _, recPlain := rTrace.runRig(vp, srv, f, true, 0, obs.NewRegistry(), nil, rTrace.packetPool(), new(trialArena))
+	job := trialJob{vp, srv, f, true, 0, 0, "", ""}
+	outPlain, _, recPlain := rTrace.runRig(&job, obs.NewRegistry(), nil, new(trialArena))
 	tc := trace.New()
-	outTraced, _, recTraced := rTrace.runRig(vp, srv, f, true, 0, obs.NewRegistry(), tc, rTrace.packetPool(), new(trialArena))
+	outTraced, _, recTraced := rTrace.runRig(&job, obs.NewRegistry(), tc, new(trialArena))
 	if outPlain != outTraced {
 		t.Errorf("tracing changed graph outcome: %v vs %v", outPlain, outTraced)
 	}
@@ -308,17 +311,19 @@ func TestObsDoesNotPerturbOutcomes(t *testing.T) {
 	}
 }
 
-// TestRunOneTraced: the flight recorder yields a non-empty trace with
-// nondecreasing virtual timestamps.
-func TestRunOneTraced(t *testing.T) {
+// TestRunOneCausalEvents: a causally traced trial carries a non-empty
+// event stream with nondecreasing virtual timestamps, and classifies
+// exactly as the plain trial.
+func TestRunOneCausalEvents(t *testing.T) {
 	r := NewRunner(7)
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, 7)[0]
 	f := core.BuiltinFactories()["improved-teardown"]
-	out, events := r.RunOneTraced(vp, srv, f, true, 3)
+	out, tr := r.RunOneCausal(vp, srv, f, "improved-teardown", true, 3)
 	if out != r.RunOne(vp, srv, f, true, 3) {
 		t.Error("traced run classified differently from plain run")
 	}
+	events := tr.Events
 	if len(events) == 0 {
 		t.Fatal("trace is empty")
 	}
@@ -524,12 +529,12 @@ func TestWorkerArenaTrialAllocs(t *testing.T) {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, 42)[0]
 	f := core.BuiltinFactories()["teardown-rst/ttl"]
-	pool, arena := r.packetPool(), new(trialArena)
+	job, arena := trialJob{vp, srv, f, true, 0, 0, "", ""}, new(trialArena)
 	for i := 0; i < 200; i++ {
-		r.runOne(vp, srv, f, true, 0, nil, "", pool, arena)
+		r.runOne(&job, nil, arena)
 	}
 	avg := testing.AllocsPerRun(1000, func() {
-		r.runOne(vp, srv, f, true, 0, nil, "", pool, arena)
+		r.runOne(&job, nil, arena)
 	})
 	if avg > workerTrialAllocs+trialAllocSlack {
 		t.Fatalf("reused-arena trial allocates %.1f/op, budget %d", avg, workerTrialAllocs)

@@ -146,6 +146,21 @@ func DefaultCalibration() Calibration {
 	}
 }
 
+// controlledServers returns the first n servers of r's population on
+// clean controlled paths: evolved GFW only, and no server-side
+// firewall, route dynamics or loss — differences between trials are
+// then attributable to the strategy and the censor alone.
+func controlledServers(r *Runner, n int) []Server {
+	servers := Servers(n, r.Cal, r.Seed)
+	for i := range servers {
+		servers[i].Mix = EvolvedOnly
+		servers[i].ServerSideFirewall = false
+		servers[i].RouteDynamicsProb = 0
+		servers[i].LossRate = 0
+	}
+	return servers
+}
+
 // Servers deterministically samples n website stand-ins from the
 // calibrated distributions.
 func Servers(n int, cal Calibration, seed int64) []Server {

@@ -29,8 +29,9 @@ type Cube struct {
 }
 
 // Table1Cube enumerates the Table 1 campaign for (r, sc): every
-// strategy × vantage point × server × trial, sensitive and clean arms.
-// The job order matches RunTable1Parallel exactly.
+// strategy × vantage point × server × trial, sensitive and clean arms,
+// each job against r.Censor. RunTable1 and RunTable1Parallel run
+// exactly this job list.
 func Table1Cube(r *Runner, sc Scale) *Cube {
 	vps := VantagePoints()[:min(sc.VPs, 11)]
 	servers := Servers(sc.Servers, r.Cal, r.Seed)
@@ -47,8 +48,9 @@ func Table1Cube(r *Runner, sc Scale) *Cube {
 		for _, vp := range vps {
 			for _, srv := range servers {
 				for trial := 0; trial < sc.Trials; trial++ {
-					c.jobs = append(c.jobs, trialJob{vp, srv, factory, true, trial, 2 * i, spec.name})
-					c.jobs = append(c.jobs, trialJob{vp, srv, factory, false, trial + sc.Trials, 2*i + 1, spec.name})
+					c.jobs = append(c.jobs,
+						trialJob{vp, srv, factory, true, trial, 2 * i, spec.name, r.Censor},
+						trialJob{vp, srv, factory, false, trial + sc.Trials, 2*i + 1, spec.name, r.Censor})
 				}
 			}
 		}
@@ -82,17 +84,6 @@ func (c *Cube) Fold(tallies []Tally) []Table1Row {
 		rows[i].Clean = tallies[2*i+1]
 	}
 	return rows
-}
-
-// runParallelCube is RunTable1Parallel over a prebuilt cube.
-func (r *Runner) runParallelCube(c *Cube) []Table1Row {
-	backing := make([]Tally, c.numTallies)
-	tallies := make([]*Tally, c.numTallies)
-	for i := range tallies {
-		tallies[i] = &backing[i]
-	}
-	r.RunParallel(c.jobs, tallies)
-	return c.Fold(backing)
 }
 
 // DefaultCheckpointEvery is how many trials a shard runs between
@@ -155,15 +146,11 @@ func (r *Runner) RunCubeRange(c *Cube, st *ShardState, every int, onTrial func(l
 		every = DefaultCheckpointEvery
 	}
 	since := 0
-	// A shard is one worker: under PerWorkerPool it recycles through its
-	// own private pool, and it builds every trial in one arena, like a
-	// RunParallel worker would.
-	pool := r.newWorkerPool()
-	arena := new(trialArena)
+	// A shard runs as one executor worker folding straight into st.
+	w := worker{r: r, tallies: st.Tallies, sink: st.Sink}
 	for st.Cursor < st.End {
-		job := c.jobs[st.Cursor]
-		out := r.runOne(job.vp, job.srv, job.factory, job.sensitive, job.trial, st.Sink, job.label, pool, arena)
-		st.Tallies[job.sink].Add(out)
+		job := &c.jobs[st.Cursor]
+		out := w.run(job)
 		st.Cursor++
 		since++
 		if onTrial != nil {

@@ -99,26 +99,12 @@ func table1Strategies() []table1Spec {
 
 // RunTable1 reproduces Table 1: every existing strategy probed from
 // every vantage point against the website population, with and without
-// the sensitive keyword.
+// the sensitive keyword. It runs the Table1Cube on one worker on the
+// caller's goroutine, whatever r.Workers says; RunTable1Parallel fans
+// the same cube out.
 func RunTable1(r *Runner, scale Scale) []Table1Row {
-	vps := VantagePoints()[:min(scale.VPs, 11)]
-	servers := Servers(scale.Servers, r.Cal, r.Seed)
-	pool, arena := r.packetPool(), new(trialArena)
-	var rows []Table1Row
-	for _, spec := range table1Strategies() {
-		row := Table1Row{Strategy: spec.group, Discrepancy: spec.disc}
-		factory := spec.compile()
-		for _, vp := range vps {
-			for _, srv := range servers {
-				for trial := 0; trial < scale.Trials; trial++ {
-					row.Sensitive.Add(r.runOne(vp, srv, factory, true, trial, r.Obs, "", pool, arena))
-					row.Clean.Add(r.runOne(vp, srv, factory, false, trial+scale.Trials, r.Obs, "", pool, arena))
-				}
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows
+	c := Table1Cube(r, scale)
+	return c.Fold(r.RunParallel(c.jobs, c.numTallies, 1))
 }
 
 // FormatTable1 renders the rows in the paper's layout.
@@ -133,11 +119,4 @@ func FormatTable1(rows []Table1Row) string {
 			row.Strategy, row.Discrepancy, s, f1, f2, cs, cf1)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

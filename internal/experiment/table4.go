@@ -57,20 +57,25 @@ func table4Strategies() []table4Spec {
 // RunTable4 reproduces the strategy rows of Table 4 over the given
 // vantage points and servers (use VantagePoints()+Servers for the
 // inside-China block, OutsideVantagePoints()+OutsideServers for the
-// outside block).
+// outside block). The trials run on r.Workers workers; tally
+// si*len(vps)+vi counts strategy si from vantage point vi.
 func RunTable4(r *Runner, vps []VantagePoint, servers []Server, trials int) []Table4Row {
-	var rows []Table4Row
-	for _, spec := range table4Strategies() {
+	specs := table4Strategies()
+	var jobs []trialJob
+	for si, spec := range specs {
 		factory := spec.compile()
-		perVP := make([]Tally, len(vps))
 		for vi, vp := range vps {
 			for _, srv := range servers {
 				for trial := 0; trial < trials; trial++ {
-					perVP[vi].Add(r.RunOne(vp, srv, factory, true, trial))
+					jobs = append(jobs, trialJob{vp, srv, factory, true, trial, si*len(vps) + vi, spec.name, r.Censor})
 				}
 			}
 		}
-		rows = append(rows, summarizeVPs(spec.label, perVP))
+	}
+	tallies := r.RunParallel(jobs, len(specs)*len(vps), r.Workers)
+	rows := make([]Table4Row, len(specs))
+	for si, spec := range specs {
+		rows[si] = summarizeVPs(spec.label, tallies[si*len(vps):(si+1)*len(vps)])
 	}
 	return rows
 }
@@ -101,9 +106,9 @@ func summarizeVPs(label string, perVP []Tally) Table4Row {
 		}
 		n++
 		s, f1, f2 := tally.Rates()
-		sMin, sMax, sSum = minF(sMin, s), maxF(sMax, s), sSum+s
-		f1Min, f1Max, f1Sum = minF(f1Min, f1), maxF(f1Max, f1), f1Sum+f1
-		f2Min, f2Max, f2Sum = minF(f2Min, f2), maxF(f2Max, f2), f2Sum+f2
+		sMin, sMax, sSum = min(sMin, s), max(sMax, s), sSum+s
+		f1Min, f1Max, f1Sum = min(f1Min, f1), max(f1Max, f1), f1Sum+f1
+		f2Min, f2Max, f2Sum = min(f2Min, f2), max(f2Max, f2), f2Sum+f2
 	}
 	if n == 0 {
 		return row
@@ -112,20 +117,6 @@ func summarizeVPs(label string, perVP []Tally) Table4Row {
 	row.Failure1 = [3]float64{f1Min, f1Max, f1Sum / float64(n)}
 	row.Failure2 = [3]float64{f2Min, f2Max, f2Sum / float64(n)}
 	return row
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FormatTable4 renders one block (inside or outside China).

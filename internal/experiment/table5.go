@@ -18,57 +18,58 @@ type Table5Cell struct {
 	Validated bool
 }
 
+// table5Spec is one Table 5 construction with the strategy that
+// exercises it.
+type table5Spec struct {
+	ptype string
+	disc  core.Discrepancy
+	strategySpec
+}
+
+// table5Constructions lists the preferred insertion-packet
+// constructions in table order, each with the strategy built on it.
+func table5Constructions() []table5Spec {
+	// SYN insertions are exercised by the combined creation strategy
+	// (its insertions are TTL-crafted SYNs).
+	syn := table4Strategies()[2].strategySpec // creation-resync-desync
+	rst := func(d core.Discrepancy) table5Spec {
+		return table5Spec{"RST", d, strategySpec{"teardown-rst/" + d.String(),
+			"on:first-payload[teardown(flags=rst,disc=" + d.String() + ")]"}}
+	}
+	data := func(d core.Discrepancy) table5Spec {
+		return table5Spec{"Data", d, strategySpec{"prefill/" + d.String(),
+			"on:first-payload[inject(prefill,disc=" + d.String() + ")]"}}
+	}
+	return []table5Spec{
+		{"SYN", core.DiscTTL, syn},
+		rst(core.DiscTTL),
+		rst(core.DiscMD5),
+		data(core.DiscTTL),
+		data(core.DiscMD5),
+		data(core.DiscBadAck),
+		data(core.DiscOldTimestamp),
+	}
+}
+
 // RunTable5 reproduces Table 5: for every preferred insertion-packet
-// construction, run the corresponding strategy on a clean controlled
-// path and confirm it evades.
+// construction, run the corresponding strategy on clean controlled
+// paths and confirm it evades on every one.
 func RunTable5(r *Runner) []Table5Cell {
 	vp := VantagePoints()[0] // Aliyun profile, benign for these packets
-	servers := Servers(3, r.Cal, r.Seed)
-	for i := range servers {
-		servers[i].Mix = EvolvedOnly
-		servers[i].ServerSideFirewall = false
-		servers[i].RouteDynamicsProb = 0
-		servers[i].LossRate = 0
-	}
-
-	strategyFor := func(ptype string, d core.Discrepancy) core.Factory {
-		switch ptype {
-		case "SYN":
-			// SYN insertions are exercised by the combined creation
-			// strategy (its insertions are TTL-crafted SYNs).
-			return strategySpec{"creation-resync-desync",
-				"on:handshake[inject(syn,disc=ttl)] on:first-payload[inject(syn,disc=ttl); inject(desync)]"}.compile()
-		case "RST":
-			return strategySpec{"teardown-rst/" + d.String(),
-				"on:first-payload[teardown(flags=rst,disc=" + d.String() + ")]"}.compile()
-		default: // Data
-			return strategySpec{"prefill/" + d.String(),
-				"on:first-payload[inject(prefill,disc=" + d.String() + ")]"}.compile()
-		}
-	}
-
-	var cells []Table5Cell
-	for _, spec := range []struct {
-		ptype string
-		disc  core.Discrepancy
-	}{
-		{"SYN", core.DiscTTL},
-		{"RST", core.DiscTTL},
-		{"RST", core.DiscMD5},
-		{"Data", core.DiscTTL},
-		{"Data", core.DiscMD5},
-		{"Data", core.DiscBadAck},
-		{"Data", core.DiscOldTimestamp},
-	} {
-		cell := Table5Cell{PacketType: spec.ptype, Discrepancy: spec.disc, Preferred: preferred(spec.ptype, spec.disc)}
-		ok := 0
+	servers := controlledServers(r, 3)
+	specs := table5Constructions()
+	var jobs []trialJob
+	for i, spec := range specs {
+		factory := spec.compile()
 		for _, srv := range servers {
-			if r.RunOne(vp, srv, strategyFor(spec.ptype, spec.disc), true, 0) == Success {
-				ok++
-			}
+			jobs = append(jobs, trialJob{vp, srv, factory, true, 0, i, spec.name, r.Censor})
 		}
-		cell.Validated = ok == len(servers)
-		cells = append(cells, cell)
+	}
+	cells := make([]Table5Cell, len(specs))
+	for i, t := range r.RunParallel(jobs, len(specs), r.Workers) {
+		spec := specs[i]
+		cells[i] = Table5Cell{PacketType: spec.ptype, Discrepancy: spec.disc,
+			Preferred: preferred(spec.ptype, spec.disc), Validated: t.Success == t.Total}
 	}
 	return cells
 }

@@ -208,7 +208,7 @@ func FormatTopoDemo(seed int64) string {
 	r.Topo = GraphDemoTopo
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, seed)[0]
-	rg := r.build(vp, srv, 1, r.packetPool(), new(trialArena))
+	rg := r.build(vp, srv, r.Censor, 1, new(trialArena))
 	fab, ok := rg.net.(*netem.Fabric)
 	if !ok {
 		return "topo demo: unexpected linear compilation\n"
@@ -256,8 +256,11 @@ func FormatTopoDemo(seed int64) string {
 // through the internal/censor registry (heterogeneous zoos on fabric
 // branches).
 type rigBinder struct {
-	r        *Runner
-	vp       VantagePoint
+	r  *Runner
+	vp VantagePoint
+	// censor is the trial job's censor reference; "" binds the
+	// calibrated GFW population.
+	censor   string
 	rg       *rig
 	trialRng *rand.Rand
 	pairRng  *rand.Rand
@@ -283,12 +286,12 @@ func (b *rigBinder) Bind(ref string, tap bool) ([]netem.Processor, error) {
 		}
 		return nil, fmt.Errorf("ipf ref %q precedes its device", ref)
 	case strings.HasPrefix(ref, "gfw-old"), strings.HasPrefix(ref, "gfw-new"):
-		if b.r.Censor != "" {
+		if b.censor != "" {
 			// Censor override: the device slot is filled by the compiled
 			// censor instead of the calibrated GFW population. Spec
-			// parameters are authoritative — Cal probabilities and
-			// HardenGFW do not apply here.
-			comp, err := censor.Resolve(b.r.Censor)
+			// parameters are authoritative — Cal probabilities do not
+			// apply here.
+			comp, err := censor.Resolve(b.censor)
 			if err != nil {
 				return nil, err
 			}
@@ -307,9 +310,6 @@ func (b *rigBinder) Bind(ref string, tap bool) ([]netem.Processor, error) {
 		}
 		cfg := gfwConfig(model, b.r.Cal)
 		cfg.TorFiltering = b.vp.TorFiltered
-		if b.r.HardenGFW != nil {
-			b.r.HardenGFW(&cfg)
-		}
 		dev := gfw.NewDevice(ref, cfg, b.trialRng)
 		dev.SetRSTResyncs(b.pairRng.Float64() < b.r.Cal.ResyncOnRSTProb)
 		dev.SetSegmentLastWins(b.pairRng.Float64() < b.r.Cal.SegmentLastWinsProb)

@@ -12,7 +12,6 @@ import (
 	"intango/internal/appsim"
 	"intango/internal/censor"
 	"intango/internal/core"
-	"intango/internal/gfw"
 	"intango/internal/intang"
 	"intango/internal/netem"
 	"intango/internal/obs"
@@ -58,26 +57,17 @@ func (o Outcome) String() string {
 type Runner struct {
 	Cal  Calibration
 	Seed int64
-	// HardenGFW, when set, applies §8 countermeasures to every device
-	// the runner builds (the ablation harness sets it).
-	HardenGFW func(cfg *gfw.Config)
 	// Obs, when set, collects counters, throughput aggregates, and
 	// failing-trial flight-recorder traces from every trial. Nil (the
 	// default) leaves the whole stack uninstrumented.
 	Obs *ObsSink
-	// Workers caps RunParallel's fan-out; 0 means GOMAXPROCS.
+	// Workers caps RunParallel's fan-out for every campaign but the
+	// serial RunTable1; 0 means GOMAXPROCS.
 	Workers int
 	// NoPool disables packet pooling: every trial then allocates its
 	// packets on the heap. The pooling determinism test uses it as the
 	// control arm; campaigns leave it false.
 	NoPool bool
-	// PerWorkerPool gives each RunParallel worker a private packet pool
-	// instead of the shared sync.Pool-backed one — no cross-CPU recycle
-	// traffic on many-core fleets. Serial entry points keep the shared
-	// pool; results are bit-identical either way (pooling only recycles
-	// storage, never changes behaviour), which the determinism test
-	// pins.
-	PerWorkerPool bool
 	// Causal, when set (and Obs is attached), records a full causal
 	// trace — packet bytes with lineage plus the complete event stream —
 	// for every trial and retains the bundle on each failing trial the
@@ -93,13 +83,16 @@ type Runner struct {
 	// references resolve through the standard rig binder (see topo.go).
 	// An invalid spec panics at the first build.
 	Topo string
-	// Censor, when set, replaces every GFW device the topology would
-	// bind with a censor compiled from this reference — a registry name
+	// Censor is the censor reference RunOne and the Table 1, 4 and 5
+	// job builders put on every trial they describe: a registry name
 	// ("turkmenistan") or raw censor-spec text (internal/censor
-	// grammar). The spec's parameters are authoritative: Cal's device
-	// probabilities and HardenGFW apply only to the default ("")
-	// population. Chain-kind censors (filter-only specs) cannot stand in
-	// for a device; attach those with censor= in a topology spec.
+	// grammar) whose compiled censor replaces every GFW device the
+	// topology would bind. The spec's parameters are authoritative:
+	// Cal's device probabilities apply only to the default ("")
+	// population. The ablation and the censor matrix put their own
+	// censor on each job and ignore this field. Chain-kind censors
+	// (filter-only specs) cannot stand in for a device; attach those
+	// with censor= in a topology spec.
 	Censor string
 
 	// progressAddr is atomic: callers poll ProgressAddr from other
@@ -115,10 +108,6 @@ type Runner struct {
 
 	poolOnce sync.Once
 	pool     *packet.Pool
-	// workerPools collects the per-worker pools RunParallel created so
-	// PoolStats can aggregate them with the shared pool.
-	poolMu      sync.Mutex
-	workerPools []*packet.Pool
 
 	// topoMu guards the compiled-topology caches (topo.go): derived
 	// linear programs by path shape, and parsed Runner.Topo overrides
@@ -139,41 +128,15 @@ func (r *Runner) packetPool() *packet.Pool {
 	return r.pool
 }
 
-// workerPool returns the pool one RunParallel worker should thread
-// through its trials: nil when pooling is off, a freshly registered
-// private pool under PerWorkerPool, and the shared pool otherwise.
-func (r *Runner) newWorkerPool() *packet.Pool {
-	if r.NoPool {
-		return nil
-	}
-	if !r.PerWorkerPool {
-		return r.packetPool()
-	}
-	pl := packet.NewPool()
-	r.poolMu.Lock()
-	r.workerPools = append(r.workerPools, pl)
-	r.poolMu.Unlock()
-	return pl
-}
-
-// PoolStats snapshots the packet-pool traffic counters, summed across
-// the shared pool and any per-worker pools. When pooling is disabled
-// (NoPool) or no trial has run yet, there is no pool; the snapshot is
-// explicitly zero rather than a nil-receiver dereference.
+// PoolStats snapshots the shared packet pool's traffic counters. When
+// pooling is disabled (NoPool) or no trial has run yet, there is no
+// pool; the snapshot is explicitly zero rather than a nil-receiver
+// dereference.
 func (r *Runner) PoolStats() packet.PoolStats {
-	var s packet.PoolStats
-	if r.pool != nil {
-		s = r.pool.Stats()
+	if r.pool == nil {
+		return packet.PoolStats{}
 	}
-	r.poolMu.Lock()
-	for _, pl := range r.workerPools {
-		ps := pl.Stats()
-		s.Gets += ps.Gets
-		s.Puts += ps.Puts
-		s.News += ps.News
-	}
-	r.poolMu.Unlock()
-	return s
+	return r.pool.Stats()
 }
 
 // ProgressAddr returns the bound address of the live progress HTTP
@@ -257,10 +220,11 @@ func (a *trialArena) seed(trialSeed, pairSeed int64) {
 // build assembles the (vp, server) substrate for one trial in arena a:
 // derive (or override) the declarative topology, fetch its cached
 // compiled Program, and instantiate it with this trial's RNGs bound
-// through the rig binder. Measured paths are linear chains and compile
-// to the allocation-free netem.Path; a graph Runner.Topo compiles to a
-// netem.Fabric.
-func (r *Runner) build(vp VantagePoint, srv Server, trialSeed int64, pool *packet.Pool, a *trialArena) *rig {
+// through the rig binder, which fills the GFW device slots from
+// censorRef (see trialJob.censor). Measured paths are linear chains
+// and compile to the allocation-free netem.Path; a graph Runner.Topo
+// compiles to a netem.Fabric.
+func (r *Runner) build(vp VantagePoint, srv Server, censorRef string, trialSeed int64, a *trialArena) *rig {
 	a.seed(trialSeed, r.pairSeed(vp, srv))
 	rg := &rig{sim: a.sim}
 	trialRng := rg.sim.Rand()
@@ -282,8 +246,8 @@ func (r *Runner) build(vp VantagePoint, srv Server, trialSeed int64, pool *packe
 	}
 
 	prog := r.program(vp, srv, hops)
-	binder := &rigBinder{r: r, vp: vp, rg: rg, trialRng: trialRng, pairRng: pairRng}
-	n, err := prog.Instantiate(binder, topo.Options{Sim: rg.sim, Pool: pool})
+	binder := &rigBinder{r: r, vp: vp, censor: censorRef, rg: rg, trialRng: trialRng, pairRng: pairRng}
+	n, err := prog.Instantiate(binder, topo.Options{Sim: rg.sim, Pool: r.packetPool()})
 	if err != nil {
 		// Derived specs are valid by construction and overrides are
 		// validated at parse; a bind failure here is a programming error.
@@ -345,11 +309,11 @@ func (rg *rig) attachObs(b *obs.Obs) {
 	rg.srv.Obs = b
 }
 
-// runRig builds one trial's rig in arena a and runs it. A nil reg runs
+// runRig builds one job's rig in arena a and runs it. A nil reg runs
 // uninstrumented (the hot path); see rig.run for what reg and tc add.
-func (r *Runner) runRig(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int, reg *obs.Registry, tc *trace.Tracer, pool *packet.Pool, a *trialArena) (Outcome, *rig, *obs.Recorder) {
-	rg := r.build(vp, srv, r.trialSeed(vp, srv, trial), pool, a)
-	out, rec := rg.run(srv, factory, sensitive, reg, tc)
+func (r *Runner) runRig(job *trialJob, reg *obs.Registry, tc *trace.Tracer, a *trialArena) (Outcome, *rig, *obs.Recorder) {
+	rg := r.build(job.vp, job.srv, job.censor, r.trialSeed(job.vp, job.srv, job.trial), a)
+	out, rec := rg.run(job.srv, job.factory, job.sensitive, reg, tc)
 	return out, rg, rec
 }
 
@@ -437,11 +401,10 @@ func recordStageSpans(rg *rig, conn *tcpstack.Conn, reg *obs.Registry, rec *obs.
 	span(spanTeardown, rg.net.LastEventAt(), rg.sim.Now())
 }
 
-// runOne runs one trial against an explicit sink (RunParallel hands
-// each worker its own shard here, plus the worker's packet pool and
-// trial arena). label names the strategy for the failure-trace
-// retention key.
-func (r *Runner) runOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int, sink *ObsSink, label string, pool *packet.Pool, a *trialArena) Outcome {
+// runOne runs one job against an explicit sink (each executor worker
+// hands over its own shard and trial arena here). The job's label
+// names the strategy for the failure-trace retention key.
+func (r *Runner) runOne(job *trialJob, sink *ObsSink, a *trialArena) Outcome {
 	var reg *obs.Registry
 	var tc *trace.Tracer
 	if sink != nil {
@@ -450,31 +413,30 @@ func (r *Runner) runOne(vp VantagePoint, srv Server, factory core.Factory, sensi
 			tc = trace.New()
 		}
 	}
-	out, rg, rec := r.runRig(vp, srv, factory, sensitive, trial, reg, tc, pool, a)
+	out, rg, rec := r.runRig(job, reg, tc, a)
 	if sink != nil {
 		var bundle *trace.Trace
 		if tc != nil && out != Success {
-			bundle = tc.Finish(trace.Meta{
-				Strategy: label, VP: vp.Name, Server: srv.Name,
-				Trial: trial, Outcome: out.String(),
-			})
+			bundle = tc.Finish(job.meta(out))
 		}
-		sink.absorb(rg, label, vp.Name, srv.Name, sensitive, trial, out, rec, bundle)
+		sink.absorb(rg, job.label, job.vp.Name, job.srv.Name, job.sensitive, job.trial, out, rec, bundle)
 	}
 	return out
 }
 
-// RunOne executes a single strategy trial and classifies it.
-func (r *Runner) RunOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) Outcome {
-	return r.runOne(vp, srv, factory, sensitive, trial, r.Obs, "", r.packetPool(), new(trialArena))
+// meta is the causal-trace header naming the job and its outcome.
+func (job *trialJob) meta(out Outcome) trace.Meta {
+	return trace.Meta{
+		Strategy: job.label, VP: job.vp.Name, Server: job.srv.Name,
+		Trial: job.trial, Outcome: out.String(),
+	}
 }
 
-// RunOneTraced runs one trial with a private flight recorder and
-// returns the classification together with the retained trace — the
-// §3.4 controlled-experiment hook diagnosis builds on.
-func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) (Outcome, []obs.Event) {
-	out, _, rec := r.runRig(vp, srv, factory, sensitive, trial, obs.NewRegistry(), nil, r.packetPool(), new(trialArena))
-	return out, rec.Events()
+// RunOne executes a single strategy trial against r.Censor and
+// classifies it.
+func (r *Runner) RunOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) Outcome {
+	job := trialJob{vp, srv, factory, sensitive, trial, 0, "", r.Censor}
+	return r.runOne(&job, r.Obs, new(trialArena))
 }
 
 // RunOneCausal runs one trial with full causal tracing — lineage-
@@ -482,12 +444,10 @@ func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory,
 // and returns the classification with the assembled trace. label names
 // the strategy in the trace meta; pass "" for no strategy.
 func (r *Runner) RunOneCausal(vp VantagePoint, srv Server, factory core.Factory, label string, sensitive bool, trial int) (Outcome, *trace.Trace) {
+	job := trialJob{vp, srv, factory, sensitive, trial, 0, label, r.Censor}
 	tc := trace.New()
-	out, _, _ := r.runRig(vp, srv, factory, sensitive, trial, obs.NewRegistry(), tc, r.packetPool(), new(trialArena))
-	return out, tc.Finish(trace.Meta{
-		Strategy: label, VP: vp.Name, Server: srv.Name,
-		Trial: trial, Outcome: out.String(),
-	})
+	out, _, _ := r.runRig(&job, obs.NewRegistry(), tc, new(trialArena))
+	return out, tc.Finish(job.meta(out))
 }
 
 // fetch performs one HTTP GET (optionally with the sensitive keyword)
@@ -512,7 +472,7 @@ func fetch(rg *rig, srv Server, sensitive bool) *tcpstack.Conn {
 // Between trials it waits out any active blocklist period, as the
 // paper's methodology did (§3.3).
 func (r *Runner) RunINTANGSeries(vp VantagePoint, srv Server, trials int) []Outcome {
-	rg := r.build(vp, srv, r.pairSeed(vp, srv), r.packetPool(), new(trialArena))
+	rg := r.build(vp, srv, r.Censor, r.pairSeed(vp, srv), new(trialArena))
 	it := intang.New(rg.sim, rg.net, rg.cli, intang.Options{})
 	it.Engine.Env.InsertionTTL = insertionTTL(srv)
 	if r.Obs != nil {

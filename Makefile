@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race fuzz-smoke bench-smoke bench bench-compare bench-gate bench-obs health-golden fleet-smoke intangd-smoke
+.PHONY: check build fmt vet deps-check test race fuzz-smoke bench-smoke bench bench-compare bench-gate bench-obs health-golden fleet-smoke intangd-smoke
 
 # check is the fast gate: build, formatting, vet, tests (which include
 # the health-report golden and the disabled-telemetry alloc gate), the
@@ -8,7 +8,7 @@ GO ?= go
 # the hot-path benchmarks so a broken benchmark can't sit unnoticed
 # until the next `make bench`. The race detector runs as its own target
 # (and its own CI job) because it multiplies test time severalfold.
-check: build fmt vet test health-golden fuzz-smoke bench-smoke fleet-smoke intangd-smoke
+check: build fmt vet deps-check test health-golden fuzz-smoke bench-smoke fleet-smoke intangd-smoke
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,14 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# deps-check fails if the campaign harness or the fleet links net/http:
+# its init-time heap globals would be marked by every GC cycle of every
+# campaign. Serving lives in internal/plane and the binaries instead.
+deps-check:
+	@if $(GO) list -deps ./internal/experiment ./internal/fleet | grep -qx 'net/http'; then \
+		echo "deps-check: internal/experiment or internal/fleet links net/http"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -111,8 +119,9 @@ fleet-smoke:
 # gfw2017 (no sampled probabilities), then drives the whole loop from
 # the outside: a keyword fetch that must evade under teardown-reversal,
 # a live strategy switch to passthrough over the plane, the same fetch
-# now censored, and a /flows scrape that must show both flows — the
-# evaded one under its strategy and the censored one with got_rst. The
+# now censored, a /flows scrape that must show both flows — the
+# evaded one under its strategy and the censored one with got_rst — and
+# a /metrics scrape that must carry the path's send counter. The
 # censored fetch runs last so its 90-second pair blocklist never sits
 # in the smoke's way.
 INTANGD_TMP := $(shell mktemp -d /tmp/intangd-smoke.XXXXXX)
@@ -128,10 +137,12 @@ intangd-smoke:
 	$(INTANGD_TMP)/intangd fetch -addr $$proxy -uri '/search?q=ultrasurf' -expect ok && \
 	$(INTANGD_TMP)/intangd strategy -plane $$plane pass >/dev/null && \
 	$(INTANGD_TMP)/intangd fetch -addr $$proxy -uri '/search?q=ultrasurf' -expect blocked && \
-	$(INTANGD_TMP)/intangd flows -plane $$plane > $(INTANGD_TMP)/flows.json; \
+	$(INTANGD_TMP)/intangd flows -plane $$plane > $(INTANGD_TMP)/flows.json && \
+	curl -sf http://$$plane/metrics > $(INTANGD_TMP)/metrics.txt; \
 	status=$$?; kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
 	[ $$status -eq 0 ] || { cat $(INTANGD_TMP)/serve.log; exit $$status; }; \
 	grep -q 'teardown-reversal' $(INTANGD_TMP)/flows.json && \
-	grep -q '"got_rst":true' $(INTANGD_TMP)/flows.json
-	@echo "intangd-smoke: evaded, switched live, censored, flows observed"
+	grep -q '"got_rst":true' $(INTANGD_TMP)/flows.json && \
+	grep -q '^intangd_netem_send_total ' $(INTANGD_TMP)/metrics.txt
+	@echo "intangd-smoke: evaded, switched live, censored, flows and metrics observed"
 	@rm -rf $(INTANGD_TMP)

@@ -78,9 +78,9 @@ func main() {
 	default:
 		// A registered name or raw spec text, e.g.
 		// -strategy 'on:first-payload[teardown(flags=rst,disc=ttl)]'.
-		factory, _, ok := core.ResolveStrategy(*strategy)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown strategy %q: not a registered name (try -list) and not spec text\n", *strategy)
+		factory, _, err := core.ResolveStrategy(*strategy)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "unknown strategy %q: not a registered name (try -list) and not spec text: %v\n", *strategy, err)
 			os.Exit(2)
 		}
 		engine = core.NewEngine(sim, path, cli, core.DefaultEnv(hops-1, sim.Rand()))

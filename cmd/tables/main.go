@@ -19,14 +19,20 @@
 // fleet: -shards cuts the job cube, -shard-procs bounds concurrency,
 // and -checkpoint-dir journals per-shard frames so a killed campaign
 // resumes from where it stopped (same dir, same flags) with results
-// bit-identical to an uninterrupted run. -progress with an address
-// serves the fleet plane: /shards, /progress, /metrics, /timeseries,
-// /manifest.
+// bit-identical to an uninterrupted run.
+//
+// -progress with an address binds one observability plane for the
+// process (internal/plane). -what obs and health mount the campaign
+// views on it: /progress, /metrics, /timeseries. -what fleet mounts the
+// fleet views: /shards, /progress, /metrics, /timeseries, /manifest.
+// Every plane answers /healthz. A bind failure is reported on stderr
+// and the campaign runs without the plane.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"syscall"
 	"time"
@@ -34,12 +40,9 @@ import (
 	"intango/internal/core"
 	"intango/internal/experiment"
 	"intango/internal/fleet"
-
-	// Registers the -progress HTTP endpoint implementation; the
-	// experiment package itself stays free of net/http.
-	_ "intango/internal/experiment/progresshttp"
 	"intango/internal/ignorepath"
 	"intango/internal/obs"
+	"intango/internal/plane"
 )
 
 func main() {
@@ -61,6 +64,11 @@ func main() {
 		killAfter     = flag.Int("fleet-kill-after", 0, "SIGKILL this process after N checkpoint frames (-what fleet crash-recovery drills); 0 disables")
 	)
 	flag.Parse()
+
+	pl := bindPlane(*progress, os.Stderr)
+	if pl != nil {
+		defer pl.Close()
+	}
 
 	r := experiment.NewRunner(*seed)
 	var sc experiment.Scale
@@ -147,23 +155,16 @@ func main() {
 			fmt.Print(experiment.FormatDiagnosis(strat, counts))
 		}
 		fmt.Println("example controlled re-run (flight-recorder divergence per factor):")
-		factory := core.BuiltinFactories()["teardown-rst/ttl"]
-	example:
-		for _, vp := range vps {
-			for _, srv := range servers {
-				if r.RunOne(vp, srv, factory, true, 0) != experiment.Success {
-					d := r.Diagnose(vp, srv, "teardown-rst/ttl", 0)
-					fmt.Print(experiment.FormatDiagnosisDetail(d))
-					if *traceDir != "" {
-						paths, err := experiment.WriteDiagnosisBundles(d, *traceDir)
-						if err != nil {
-							fmt.Fprintf(os.Stderr, "write trace bundles: %v\n", err)
-							os.Exit(1)
-						}
-						fmt.Printf("wrote %d trace bundle files under %s\n", len(paths), *traceDir)
-					}
-					break example
+		if vp, srv, trial, ok := r.FindFailingTrial("teardown-rst/ttl", vps, servers, 1); ok {
+			d := r.Diagnose(vp, srv, "teardown-rst/ttl", trial)
+			fmt.Print(experiment.FormatDiagnosisDetail(d))
+			if *traceDir != "" {
+				paths, err := experiment.WriteDiagnosisBundles(d, *traceDir)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "write trace bundles: %v\n", err)
+					os.Exit(1)
 				}
+				fmt.Printf("wrote %d trace bundle files under %s\n", len(paths), *traceDir)
 			}
 		}
 		fmt.Println()
@@ -194,11 +195,8 @@ func main() {
 		ran = true
 		r.Obs = experiment.NewObsSink()
 		if *progress != "" {
-			opts := &experiment.ProgressOptions{W: os.Stderr}
-			if *progress != "stderr" {
-				opts.HTTPAddr = *progress
-			}
-			r.Progress = opts
+			r.Progress = &experiment.ProgressOptions{W: os.Stderr}
+			mountCampaign(pl, r.LiveProgress, r.ProgressSeries)
 		}
 		start := time.Now()
 		rows := experiment.RunTable1Parallel(r, sc)
@@ -233,11 +231,8 @@ func main() {
 	if *what == "health" {
 		ran = true
 		if *progress != "" {
-			opts := &experiment.ProgressOptions{W: os.Stderr, Interval: 100 * time.Millisecond}
-			if *progress != "stderr" {
-				opts.HTTPAddr = *progress
-			}
-			r.Progress = opts
+			r.Progress = &experiment.ProgressOptions{W: os.Stderr, Interval: 100 * time.Millisecond}
+			mountCampaign(pl, r.LiveProgress, r.ProgressSeries)
 		}
 		h := experiment.RunHealthCampaign(r, sc, "table1-"+*scale)
 		fmt.Print(experiment.FormatHealth(h))
@@ -262,9 +257,6 @@ func main() {
 		}
 		if *progress != "" {
 			opts.W = os.Stderr
-			if *progress != "stderr" {
-				opts.HTTPAddr = *progress
-			}
 		}
 		if *killAfter > 0 {
 			n := *killAfter
@@ -281,6 +273,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
 			os.Exit(1)
 		}
+		mountFleet(pl, coord.Feeds())
 		start := time.Now()
 		res, err := coord.Run()
 		if err != nil {
@@ -431,4 +424,47 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -what %q; pick from all,1,2,3,4,5,6,tor,vpn,ablation,diagnose,explain,obs,health,fleet,goodput,bench,bench-compare,bench-gate,figures,strategies,censors,topo\n", *what)
 		os.Exit(2)
 	}
+}
+
+// bindPlane binds the process's one observability plane when progress
+// is a listen address (not "" or "stderr"). A bind failure is reported
+// on diag and returns nil: observability must never abort a campaign.
+func bindPlane(progress string, diag io.Writer) *plane.Plane {
+	if progress == "" || progress == "stderr" {
+		return nil
+	}
+	pl, err := plane.Listen(progress)
+	if err != nil {
+		fmt.Fprintf(diag, "progress: http endpoint unavailable: %v\n", err)
+		return nil
+	}
+	return pl
+}
+
+// mountCampaign serves a campaign's live views on pl (a nil pl mounts
+// nothing): /progress (snapshot JSON), /metrics (Prometheus exposition)
+// and /timeseries (sampled series JSON).
+func mountCampaign(pl *plane.Plane, snapshot func() experiment.ProgressSnapshot, series func() obs.TimeSeriesSnapshot) {
+	if pl == nil {
+		return
+	}
+	pl.Handle("/progress", plane.JSON(func() any { return snapshot() }))
+	pl.Handle("/metrics", plane.Metrics(func(w io.Writer) error { return snapshot().WriteProm(w) }))
+	pl.Handle("/timeseries", plane.JSON(func() any { return series() }))
+}
+
+// mountFleet serves a fleet campaign's live views on pl (a nil pl
+// mounts nothing): /shards (per-shard state machine), /progress
+// (aggregate snapshot), /metrics (campaign families plus shard-labelled
+// rollups), /timeseries (fleet curve plus per-shard curves stitched
+// across kills) and /manifest (the provenance document).
+func mountFleet(pl *plane.Plane, f fleet.Feeds) {
+	if pl == nil {
+		return
+	}
+	pl.Handle("/shards", plane.JSON(func() any { return f.Shards() }))
+	pl.Handle("/progress", plane.JSON(func() any { return f.Progress() }))
+	pl.Handle("/metrics", plane.Metrics(func(w io.Writer) error { return fleet.WriteMetrics(w, f.Progress(), f.Shards()) }))
+	pl.Handle("/timeseries", plane.JSON(func() any { return f.Series() }))
+	pl.Handle("/manifest", plane.JSON(func() any { return f.Manifest() }))
 }

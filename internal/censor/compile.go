@@ -135,16 +135,6 @@ func (c *Compiled) BuildChain(rng *rand.Rand) ([]netem.Processor, bool) {
 	return procs, true
 }
 
-// MustCompile is Compile for statically-known specs; it panics on
-// error.
-func MustCompile(spec Spec) *Compiled {
-	c, err := Compile(spec)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Compile validates the spec's composition and lowers it onto its
 // target. The grammar is deliberately wider than any one target: the
 // stateful engine cannot blackhole (its wiretap position can only

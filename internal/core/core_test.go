@@ -119,14 +119,25 @@ func TestNoStrategyIsCensored(t *testing.T) {
 	}
 }
 
+// resolve compiles a strategy reference — a registered name or raw spec
+// text — through ResolveStrategy, the resolver every binary uses.
+func resolve(t *testing.T, ref string) Factory {
+	t.Helper()
+	f, _, err := ResolveStrategy(ref)
+	if err != nil {
+		t.Fatalf("ResolveStrategy(%q): %v", ref, err)
+	}
+	return f
+}
+
 func TestTCBCreationOldVsEvolved(t *testing.T) {
 	// Worked against the 2013 model; the evolved model resynchronizes
 	// from the extra SYN and catches the keyword (§4).
-	r := newTrialRig(t, old(), NewTCBCreation(DiscTTL), nil)
+	r := newTrialRig(t, old(), resolve(t, "tcb-creation-syn/ttl"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("old model: %v, want success", got)
 	}
-	r2 := newTrialRig(t, evolved(), NewTCBCreation(DiscTTL), nil)
+	r2 := newTrialRig(t, evolved(), resolve(t, "tcb-creation-syn/ttl"), nil)
 	if got := r2.runTrial(t); got != Failure2 {
 		t.Fatalf("evolved model: %v, want failure-2", got)
 	}
@@ -134,7 +145,7 @@ func TestTCBCreationOldVsEvolved(t *testing.T) {
 
 func TestInOrderPrefill(t *testing.T) {
 	for _, d := range []Discrepancy{DiscTTL, DiscBadChecksum, DiscBadAck, DiscNoFlag, DiscMD5, DiscOldTimestamp} {
-		r := newTrialRig(t, evolved(), NewInOrderPrefill(d), nil)
+		r := newTrialRig(t, evolved(), resolve(t, SpecInOrderPrefill(d).String()), nil)
 		if got := r.runTrial(t); got != Success {
 			t.Fatalf("prefill/%v: %v, want success", d, got)
 		}
@@ -142,7 +153,7 @@ func TestInOrderPrefill(t *testing.T) {
 }
 
 func TestPrefillOldTimestampAgainstOldModel(t *testing.T) {
-	r := newTrialRig(t, old(), NewInOrderPrefill(DiscTTL), nil)
+	r := newTrialRig(t, old(), resolve(t, "prefill/ttl"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("old model prefill: %v", got)
 	}
@@ -150,24 +161,24 @@ func TestPrefillOldTimestampAgainstOldModel(t *testing.T) {
 
 func TestTeardownRSTDependsOnDeviceRSTBehaviour(t *testing.T) {
 	cfgDown := evolved() // ResyncOnRSTProb 0: RST tears down
-	r := newTrialRig(t, cfgDown, NewTCBTeardown(packet.FlagRST, DiscTTL), nil)
+	r := newTrialRig(t, cfgDown, resolve(t, "teardown-rst/ttl"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("teardown device: %v, want success", got)
 	}
 	cfgResync := evolved()
 	cfgResync.ResyncOnRSTProb = 1 // RST sends the TCB to resync: the request resyncs it
-	r2 := newTrialRig(t, cfgResync, NewTCBTeardown(packet.FlagRST, DiscTTL), nil)
+	r2 := newTrialRig(t, cfgResync, resolve(t, "teardown-rst/ttl"), nil)
 	if got := r2.runTrial(t); got != Failure2 {
 		t.Fatalf("resync device: %v, want failure-2", got)
 	}
 }
 
 func TestTeardownFINFailsAgainstEvolved(t *testing.T) {
-	r := newTrialRig(t, evolved(), NewTCBTeardown(packet.FlagFIN|packet.FlagACK, DiscTTL), nil)
+	r := newTrialRig(t, evolved(), resolve(t, "teardown-fin/ttl"), nil)
 	if got := r.runTrial(t); got != Failure2 {
 		t.Fatalf("FIN vs evolved: %v, want failure-2", got)
 	}
-	r2 := newTrialRig(t, old(), NewTCBTeardown(packet.FlagFIN|packet.FlagACK, DiscTTL), nil)
+	r2 := newTrialRig(t, old(), resolve(t, "teardown-fin/ttl"), nil)
 	if got := r2.runTrial(t); got != Success {
 		t.Fatalf("FIN vs old: %v, want success", got)
 	}
@@ -177,12 +188,12 @@ func TestImprovedTeardownBeatsBothRSTBehaviours(t *testing.T) {
 	for _, prob := range []float64{0, 1} {
 		cfg := evolved()
 		cfg.ResyncOnRSTProb = prob
-		r := newTrialRig(t, cfg, NewImprovedTeardown(), nil)
+		r := newTrialRig(t, cfg, resolve(t, "improved-teardown"), nil)
 		if got := r.runTrial(t); got != Success {
 			t.Fatalf("improved teardown (resync prob %v): %v, want success", prob, got)
 		}
 	}
-	r := newTrialRig(t, old(), NewImprovedTeardown(), nil)
+	r := newTrialRig(t, old(), resolve(t, "improved-teardown"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("improved teardown vs old: %v", got)
 	}
@@ -190,7 +201,7 @@ func TestImprovedTeardownBeatsBothRSTBehaviours(t *testing.T) {
 
 func TestImprovedPrefill(t *testing.T) {
 	for _, cfg := range []gfw.Config{evolved(), old()} {
-		r := newTrialRig(t, cfg, NewImprovedPrefill(), nil)
+		r := newTrialRig(t, cfg, resolve(t, "improved-prefill"), nil)
 		if got := r.runTrial(t); got != Success {
 			t.Fatalf("%v: %v, want success", cfg.Model, got)
 		}
@@ -199,7 +210,7 @@ func TestImprovedPrefill(t *testing.T) {
 
 func TestResyncDesyncBeatsBothModels(t *testing.T) {
 	for _, cfg := range []gfw.Config{evolved(), old()} {
-		r := newTrialRig(t, cfg, NewResyncDesync(), nil)
+		r := newTrialRig(t, cfg, resolve(t, "creation-resync-desync"), nil)
 		if got := r.runTrial(t); got != Success {
 			t.Fatalf("%v: %v, want success", cfg.Model, got)
 		}
@@ -208,7 +219,7 @@ func TestResyncDesyncBeatsBothModels(t *testing.T) {
 
 func TestTCBReversalBeatsBothModels(t *testing.T) {
 	for _, cfg := range []gfw.Config{evolved(), old()} {
-		r := newTrialRig(t, cfg, NewTCBReversal(), nil)
+		r := newTrialRig(t, cfg, resolve(t, "teardown-reversal"), nil)
 		if got := r.runTrial(t); got != Success {
 			t.Fatalf("%v: %v, want success", cfg.Model, got)
 		}
@@ -216,7 +227,7 @@ func TestTCBReversalBeatsBothModels(t *testing.T) {
 	// Also against a resync-on-RST evolved device.
 	cfg := evolved()
 	cfg.ResyncOnRSTProb = 1
-	r := newTrialRig(t, cfg, NewTCBReversal(), nil)
+	r := newTrialRig(t, cfg, resolve(t, "teardown-reversal"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("reversal vs resync-on-RST: %v", got)
 	}
@@ -226,14 +237,14 @@ func TestOutOfOrderTCPSegOverlapPolicy(t *testing.T) {
 	// Old-style devices prefer the later copy: junk wins, evasion works.
 	cfg := evolved()
 	cfg.SegmentLastWinsProb = 1
-	r := newTrialRig(t, cfg, NewOutOfOrderTCPSeg(), nil)
+	r := newTrialRig(t, cfg, resolve(t, "ooo-tcpseg"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("last-wins device: %v, want success", got)
 	}
 	// Evolved devices that keep the first copy see the real data.
 	cfg2 := evolved()
 	cfg2.SegmentLastWinsProb = 0
-	r2 := newTrialRig(t, cfg2, NewOutOfOrderTCPSeg(), nil)
+	r2 := newTrialRig(t, cfg2, resolve(t, "ooo-tcpseg"), nil)
 	if got := r2.runTrial(t); got != Failure2 {
 		t.Fatalf("first-wins device: %v, want failure-2", got)
 	}
@@ -242,7 +253,7 @@ func TestOutOfOrderTCPSegOverlapPolicy(t *testing.T) {
 func TestOutOfOrderIPFrag(t *testing.T) {
 	// With no middlebox interference the fragment decoy blinds the GFW
 	// (it keeps the first copy) while the server keeps the real data.
-	r := newTrialRig(t, evolved(), NewOutOfOrderIPFrag(), nil)
+	r := newTrialRig(t, evolved(), resolve(t, "ooo-ipfrag"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("no middleboxes: %v, want success", got)
 	}
@@ -251,7 +262,7 @@ func TestOutOfOrderIPFrag(t *testing.T) {
 func TestWrongInsertionTTLCausesFailure1(t *testing.T) {
 	// An insertion RST whose TTL overshoots the GFW reaches the server
 	// and kills the real connection: Failure 1 (§3.4 network dynamics).
-	r := newTrialRig(t, evolved(), NewTCBTeardown(packet.FlagRST, DiscTTL), nil)
+	r := newTrialRig(t, evolved(), resolve(t, "teardown-rst/ttl"), nil)
 	r.engine.Env.InsertionTTL = 64 // wrong: reaches the server
 	if got := r.runTrial(t); got != Failure1 {
 		t.Fatalf("outcome = %v, want failure-1", got)
@@ -259,7 +270,7 @@ func TestWrongInsertionTTLCausesFailure1(t *testing.T) {
 }
 
 func TestInsertionRepeats(t *testing.T) {
-	r := newTrialRig(t, evolved(), NewImprovedTeardown(), nil)
+	r := newTrialRig(t, evolved(), resolve(t, "improved-teardown"), nil)
 	var insertions int
 	r.engine.OnOutboundRaw = func(em Emission) {
 		if em.Insertion {

@@ -92,19 +92,6 @@ func NewEngine(sim *netem.Simulator, n netem.Net, stack *tcpstack.Stack, env Env
 	return e
 }
 
-// NewEngineOn wires an engine directly onto a packet device — the
-// daemon entry point, where there is no netem substrate to claim an
-// endpoint on. The caller pumps client traffic into Outbound and
-// receives the return path via Upstream (or a Stack, if it sets one).
-func NewEngineOn(sim *netem.Simulator, dev device.Device, env Env) *Engine {
-	e := &Engine{
-		Sim: sim, Dev: dev, Env: env,
-		flows: make(map[packet.FourTuple]*flowState),
-	}
-	e.bindDev()
-	return e
-}
-
 // bindDev caches the device's pool and lineage capabilities.
 func (e *Engine) bindDev() {
 	e.pool = device.PoolOf(e.Dev)

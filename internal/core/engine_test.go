@@ -64,7 +64,7 @@ func TestEngineTracksFlowState(t *testing.T) {
 }
 
 func TestEngineStrategyForAndReset(t *testing.T) {
-	r := newTrialRig(t, evolved(), NewImprovedTeardown(), nil)
+	r := newTrialRig(t, evolved(), resolve(t, "improved-teardown"), nil)
 	c := r.cli.Connect(srvAddr, 80)
 	r.sim.RunFor(100 * time.Millisecond)
 	tuple := packet.FourTuple{SrcAddr: cliAddr, SrcPort: c.LocalPort(), DstAddr: srvAddr, DstPort: 80}
@@ -110,7 +110,7 @@ func TestEngineNonTCPPassThrough(t *testing.T) {
 func TestEngineRepeatWavesPreserveOrder(t *testing.T) {
 	// Each wave must contain the insertions in their original order so
 	// (SYN, desync) pairs keep their causality (Fig. 3).
-	r := newTrialRig(t, evolved(), NewResyncDesync(), nil)
+	r := newTrialRig(t, evolved(), resolve(t, "creation-resync-desync"), nil)
 	type sent struct {
 		flags uint8
 		seq   packet.Seq
@@ -188,7 +188,7 @@ func TestSharedStrategyInstanceAcrossFlows(t *testing.T) {
 }
 
 func TestWestChamberKillsOwnConnection(t *testing.T) {
-	r := newTrialRig(t, evolved(), NewWestChamber(), nil)
+	r := newTrialRig(t, evolved(), resolve(t, "west-chamber"), nil)
 	if got := r.runTrial(t); got != Failure1 {
 		t.Fatalf("west-chamber outcome = %v, want failure-1 (its bare RST reaches the server)", got)
 	}
@@ -197,14 +197,14 @@ func TestWestChamberKillsOwnConnection(t *testing.T) {
 func TestMD5RequestAgainstHardenedGFW(t *testing.T) {
 	cfg := evolved()
 	cfg.ValidateMD5 = true // §8 hardened censor
-	r := newTrialRig(t, cfg, NewMD5TaggedRequest(), nil)
+	r := newTrialRig(t, cfg, resolve(t, "md5-request"), nil)
 	// Against a modern server the MD5-tagged request is ignored by the
 	// server too: Failure 1.
 	if got := r.runTrial(t); got != Failure1 {
 		t.Fatalf("vs linux-4.4: %v, want failure-1", got)
 	}
 	// Against a pre-RFC-2385 server it sails through.
-	r2 := newTrialRig(t, cfg, NewMD5TaggedRequest(), nil)
+	r2 := newTrialRig(t, cfg, resolve(t, "md5-request"), nil)
 	r2.srv.Profile = tcpstack.Linux2437()
 	if got := r2.runTrial(t); got != Success {
 		t.Fatalf("vs linux-2.4.37: %v, want success", got)

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"intango/internal/core"
 	"intango/internal/dpi"
 	"intango/internal/gfw"
 	"intango/internal/netem"
@@ -140,7 +139,7 @@ func benchTrialSplit(seed int64, reuse bool) BenchSplit {
 	r := NewRunner(seed)
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, seed)[0]
-	factory := core.BuiltinFactories()["teardown-rst/ttl"]
+	factory := mustStrategy("teardown-rst/ttl")
 	var split BenchSplit
 	testing.Benchmark(func(b *testing.B) {
 		var build, run time.Duration
@@ -150,7 +149,7 @@ func benchTrialSplit(seed int64, reuse bool) BenchSplit {
 				arena = new(trialArena)
 			}
 			t0 := time.Now()
-			rg := r.build(vp, srv, r.Censor, r.trialSeed(vp, srv, i), arena)
+			rg := r.build(vp, srv, r.Topo, r.Censor, r.trialSeed(vp, srv, i), arena)
 			t1 := time.Now()
 			rg.run(srv, factory, true, nil, nil)
 			build += t1.Sub(t0)
@@ -192,7 +191,7 @@ func RunBench(seed int64) BenchReport {
 		r := NewRunner(seed)
 		vp := VantagePoints()[0]
 		srv := Servers(1, r.Cal, seed)[0]
-		factory := core.BuiltinFactories()["teardown-rst/ttl"]
+		factory := mustStrategy("teardown-rst/ttl")
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -208,11 +207,11 @@ func RunBench(seed int64) BenchReport {
 		vp := VantagePoints()[6]
 		srv := goodputServers(r, 1)[0]
 		s := goodputStrategies()[2] // an inject strategy: the plain congested transfer
-		r.Topo = goodputTopo(vp, srv)
+		shaped := goodputTopo(vp, srv)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.runGoodputTrial(vp, srv, s.factory, i, nil)
+			r.runGoodputTrial(vp, srv, shaped, s.factory, i, nil)
 		}
 	})
 	rep.GoodputTrial = toBenchResult(goodputRes, 0)
@@ -285,7 +284,7 @@ func RunBenchGate(seed int64, committed BenchReport, tolerance float64) (measure
 		r := NewRunner(seed)
 		vp := VantagePoints()[0]
 		srv := Servers(1, r.Cal, seed)[0]
-		factory := core.BuiltinFactories()["teardown-rst/ttl"]
+		factory := mustStrategy("teardown-rst/ttl")
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"intango/internal/core"
 	"intango/internal/middlebox"
 	"intango/internal/obs"
 	"intango/internal/tcpstack"
@@ -88,12 +87,13 @@ type Diagnosis struct {
 	Residual bool
 }
 
-// Diagnose reruns a trial under controlled variants. A nil factory
-// means no strategy. Each run is fully causally traced: the baseline's
-// bundle is always attached, and each factor re-run that diverges from
-// the baseline keeps its own bundle for offline inspection.
+// Diagnose reruns a trial under controlled variants. strategyName is a
+// registered name or raw spec text; an unknown one panics. Each run is
+// fully causally traced: the baseline's bundle is always attached, and
+// each factor re-run that diverges from the baseline keeps its own
+// bundle for offline inspection.
 func (r *Runner) Diagnose(vp VantagePoint, srv Server, strategyName string, trial int) Diagnosis {
-	factory := core.BuiltinFactories()[strategyName]
+	factory := mustStrategy(strategyName)
 	diag := Diagnosis{VP: vp.Name, Server: srv.Name, Strategy: strategyName}
 	var baseTr *trace.Trace
 	diag.Baseline, baseTr = r.RunOneCausal(vp, srv, factory, strategyName, true, trial)
@@ -171,7 +171,7 @@ func sanitizeName(s string) string {
 // "quantify the impact of each" (§3.4).
 func (r *Runner) DiagnoseCampaign(strategyName string, vps []VantagePoint, servers []Server, trials int) map[string]int {
 	counts := map[string]int{}
-	factory := core.BuiltinFactories()[strategyName]
+	factory := mustStrategy(strategyName)
 	for _, vp := range vps {
 		for _, srv := range servers {
 			for trial := 0; trial < trials; trial++ {

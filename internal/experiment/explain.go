@@ -8,11 +8,12 @@ import (
 )
 
 // FindFailingTrial deterministically locates the first failing
-// sensitive trial of a strategy over the population, scanning vantage
-// points, then servers, then trial indices in order. ok is false when
-// every trial in the sweep succeeds.
+// sensitive trial of a strategy (a registered name or raw spec text)
+// over the population, scanning vantage points, then servers, then
+// trial indices in order. ok is false when every trial in the sweep
+// succeeds; an unknown strategy panics.
 func (r *Runner) FindFailingTrial(strategyName string, vps []VantagePoint, servers []Server, trials int) (vp VantagePoint, srv Server, trial int, ok bool) {
-	factory := core.BuiltinFactories()[strategyName]
+	factory := mustStrategy(strategyName)
 	for _, v := range vps {
 		for _, s := range servers {
 			for t := 0; t < trials; t++ {
@@ -30,15 +31,18 @@ func (r *Runner) FindFailingTrial(strategyName string, vps []VantagePoint, serve
 // it did, and which packet caused what — together with the trace for
 // bundle export.
 func (r *Runner) Explain(vp VantagePoint, srv Server, strategyName string, trial int) (string, *trace.Trace) {
-	factory := core.BuiltinFactories()[strategyName]
-	_, tr := r.RunOneCausal(vp, srv, factory, strategyName, true, trial)
+	_, tr := r.RunOneCausal(vp, srv, mustStrategy(strategyName), strategyName, true, trial)
 	return tr.Narrative(), tr
 }
 
-// ExplainFirstFailure finds the first failing trial of a strategy and
-// narrates it. The error is non-nil when the sweep has no failure to
-// explain.
+// ExplainFirstFailure finds the first failing trial of a strategy (a
+// registered name or raw spec text) and narrates it. The error is
+// non-nil when the strategy does not resolve or the sweep has no
+// failure to explain.
 func (r *Runner) ExplainFirstFailure(strategyName string, vps []VantagePoint, servers []Server, trials int) (string, *trace.Trace, error) {
+	if _, _, err := core.ResolveStrategy(strategyName); err != nil {
+		return "", nil, fmt.Errorf("unknown strategy %q: not a registered name, and not spec text: %v", strategyName, err)
+	}
 	vp, srv, trial, ok := r.FindFailingTrial(strategyName, vps, servers, trials)
 	if !ok {
 		return "", nil, fmt.Errorf("no failing trial for %s across %d vantage points x %d servers x %d trials",

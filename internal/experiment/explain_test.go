@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"intango/internal/core"
 	"intango/internal/packet"
 	"intango/internal/pcap"
 )
@@ -121,5 +122,33 @@ func TestDiagnoseBundlesParse(t *testing.T) {
 	}
 	if !crafted {
 		t.Error("baseline bundle has no crafter-attributed packets")
+	}
+}
+
+// TestExplainResolvesStrategies: explain accepts raw spec text as well
+// as a registered name — the spec of teardown-rst/ttl fails on the
+// same trial its name does — and an unknown reference is an error
+// rather than a narrated trial with no strategy.
+func TestExplainResolvesStrategies(t *testing.T) {
+	r := NewRunner(42)
+	sc := QuickScale()
+	vps := VantagePoints()[:sc.VPs]
+	servers := Servers(sc.Servers, r.Cal, 42)
+	var spec string
+	for _, e := range core.Registry() {
+		if e.Alias == "teardown-rst/ttl" {
+			spec = e.Spec.String()
+		}
+	}
+	vp, srv, trial, ok := r.FindFailingTrial("teardown-rst/ttl", vps, servers, sc.Trials)
+	svp, ssrv, strial, sok := r.FindFailingTrial(spec, vps, servers, sc.Trials)
+	if !ok || !sok || vp.Name != svp.Name || srv.Name != ssrv.Name || trial != strial {
+		t.Fatalf("raw spec %q found a different failure than its name", spec)
+	}
+	if narrative, _, err := r.ExplainFirstFailure(spec, vps, servers, sc.Trials); err != nil || narrative == "" {
+		t.Fatalf("explain by raw spec: %v", err)
+	}
+	if _, _, err := r.ExplainFirstFailure("no-such-strategy", vps, servers, sc.Trials); err == nil {
+		t.Fatal("explain narrated an unknown strategy")
 	}
 }

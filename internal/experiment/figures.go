@@ -19,7 +19,7 @@ func Figure1(r *Runner) string {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, r.Seed)[0]
 	srv.ServerSideFirewall = true
-	rg := r.build(vp, srv, r.Censor, 1, new(trialArena))
+	rg := r.build(vp, srv, r.Topo, r.Censor, 1, new(trialArena))
 	var b strings.Builder
 	b.WriteString("Fig. 1 — Threat model (on-path GFW between client and server):\n")
 	b.WriteString(rg.net.Describe())
@@ -34,7 +34,7 @@ func Figure1(r *Runner) string {
 func Figure2(r *Runner) string {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, r.Seed)[0]
-	rg := r.build(vp, srv, r.Censor, 2, new(trialArena))
+	rg := r.build(vp, srv, r.Topo, r.Censor, 2, new(trialArena))
 	it := intang.New(rg.sim, rg.net, rg.cli, intang.Options{Resolver: srv.Addr})
 	it.Engine.Env.InsertionTTL = insertionTTL(srv)
 	appsim.ServeDNSTCP(rg.srv, appsim.Zone{})
@@ -71,7 +71,7 @@ func SequenceDiagram(r *Runner, factoryName, title string) string {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, r.Seed)[0]
 	srv.Mix = BothModels
-	rg := r.build(vp, srv, r.Censor, 3, new(trialArena))
+	rg := r.build(vp, srv, r.Topo, r.Censor, 3, new(trialArena))
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	for _, dev := range rg.devices {
@@ -105,7 +105,7 @@ func SequenceDiagram(r *Runner, factoryName, title string) string {
 	})
 	env := core.DefaultEnv(insertionTTL(srv), rg.sim.Rand())
 	rg.engine = core.NewEngine(rg.sim, rg.net, rg.cli, env)
-	factory := core.BuiltinFactories()[factoryName]
+	factory := mustStrategy(factoryName)
 	rg.engine.NewStrategy = func(packet.FourTuple) core.Strategy { return factory() }
 	conn := fetch(rg, srv, true)
 	fmt.Fprintf(&b, "outcome: %v\n", classify(rg, conn, true))

@@ -68,7 +68,6 @@ func goodputStrategies() []struct {
 	name, class string
 	factory     core.Factory
 } {
-	builtin := core.BuiltinFactories()
 	sustained := func(name string, rule core.Rule) core.Factory {
 		return core.Spec{Rules: []core.Rule{rule}}.FactoryAs(name)
 	}
@@ -92,9 +91,9 @@ func goodputStrategies() []struct {
 				core.DuplicateAction{Fill: core.FillJunk, Pos: core.PosAfter},
 			},
 		})},
-		{"teardown-rst/ttl", "inject", builtin["teardown-rst/ttl"]},
-		{"improved-teardown", "inject", builtin["improved-teardown"]},
-		{"prefill/ttl", "inject", builtin["prefill/ttl"]},
+		{"teardown-rst/ttl", "inject", mustStrategy("teardown-rst/ttl")},
+		{"improved-teardown", "inject", mustStrategy("improved-teardown")},
+		{"prefill/ttl", "inject", mustStrategy("prefill/ttl")},
 	}
 }
 
@@ -130,10 +129,12 @@ func goodputTopo(vp VantagePoint, srv Server) string {
 // returns the goodput observed at the server: delivered bytes over the
 // virtual-time window from first to last in-order delivery. All
 // arithmetic is integer on virtual time, so serial and parallel
-// campaigns measure bit-identically. A non-nil reg additionally folds
-// the trial into the goodput.bps / goodput.bytes histograms.
-func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, factory core.Factory, trial int, reg *obs.Registry) (bps int64, out Outcome) {
-	rg := r.build(vp, srv, r.Censor, r.trialSeed(vp, srv, trial), new(trialArena))
+// campaigns measure bit-identically. topoSpec is the trial's topology
+// ("" derives the pair's unshaped path); Runner.Topo is not consulted.
+// A non-nil reg additionally folds the trial into the goodput.bps /
+// goodput.bytes histograms.
+func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoSpec string, factory core.Factory, trial int, reg *obs.Registry) (bps int64, out Outcome) {
+	rg := r.build(vp, srv, topoSpec, r.Censor, r.trialSeed(vp, srv, trial), new(trialArena))
 	appsim.ServeHTTPUpload(rg.srv, 80)
 	if reg != nil {
 		rg.attachObs(obs.New(reg, obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)))
@@ -173,7 +174,8 @@ func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, factory core.Facto
 
 // RunGoodput runs the goodput matrix: every demo strategy through an
 // upload on the unconstrained and on the bw=1mbit,queue=16 client
-// link, over a controlled server slice. Trials feed the runner's obs
+// link, over a controlled server slice. Each arm builds its own
+// topology, so Runner.Topo is neither used nor changed. Trials feed the runner's obs
 // registry (when attached), so a health report built afterwards
 // carries the goodput histograms.
 func RunGoodput(r *Runner, sc Scale) []GoodputRow {
@@ -207,12 +209,10 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 		var un, con []int64
 		for _, srv := range servers {
 			for trial := 0; trial < sc.Trials; trial++ {
-				r.Topo = ""
-				bps, _ := r.runGoodputTrial(vp, srv, s.factory, trial, reg)
+				bps, _ := r.runGoodputTrial(vp, srv, "", s.factory, trial, reg)
 				un = append(un, bps)
 
-				r.Topo = goodputTopo(vp, srv)
-				bps, out := r.runGoodputTrial(vp, srv, s.factory, trial, reg)
+				bps, out := r.runGoodputTrial(vp, srv, goodputTopo(vp, srv), s.factory, trial, reg)
 				con = append(con, bps)
 				row.Trials++
 				if out == Success {
@@ -220,7 +220,6 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 				}
 			}
 		}
-		r.Topo = ""
 		row.UnconstrainedBps = median(un)
 		row.ConstrainedBps = median(con)
 		rows = append(rows, row)

@@ -68,3 +68,22 @@ func TestGoodputReorderCostlier(t *testing.T) {
 			maxReorder, minInject)
 	}
 }
+
+// TestGoodputLeavesRunnerTopo: each goodput arm builds its own
+// topology, so the caller's Runner.Topo survives the campaign and does
+// not leak into either arm.
+func TestGoodputLeavesRunnerTopo(t *testing.T) {
+	sc := Scale{VPs: 1, Servers: 1, Trials: 1}
+	r := NewRunner(42)
+	r.Topo = GraphDemoTopo
+	rows := RunGoodput(r, sc)
+	if r.Topo != GraphDemoTopo {
+		t.Fatalf("RunGoodput rewrote Runner.Topo to %q", r.Topo)
+	}
+	want := RunGoodput(NewRunner(42), sc)
+	for i := range want {
+		if rows[i] != want[i] {
+			t.Fatalf("Runner.Topo leaked into the goodput arms: %+v vs %+v", rows[i], want[i])
+		}
+	}
+}

@@ -60,7 +60,7 @@ func (r *Runner) RunParallel(jobs []trialJob, numTallies, workers int) []Tally {
 	var prog *progressTracker
 	if r.Progress != nil {
 		prog = newProgressTracker(jobs, *r.Progress)
-		r.progressAddr.Store(prog.Addr())
+		r.tracker.Store(prog)
 	}
 	ws := make([]worker, workers)
 	for i := range ws {
@@ -92,11 +92,6 @@ func (r *Runner) RunParallel(jobs []trialJob, numTallies, workers int) []Tally {
 		wg.Wait()
 	}
 	prog.finish()
-	if prog != nil {
-		r.progressSeries = prog.Series()
-		r.progressFinal = prog.snapshot()
-		r.progressRan = true
-	}
 	tallies := make([]Tally, numTallies)
 	for _, w := range ws {
 		for i, t := range w.tallies {

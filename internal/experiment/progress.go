@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -20,14 +19,6 @@ type ProgressOptions struct {
 	// W receives the periodic snapshot lines (typically os.Stderr);
 	// nil disables printing.
 	W io.Writer
-	// HTTPAddr, when non-empty, serves live progress over HTTP:
-	// /progress returns the snapshot as JSON, /metrics as
-	// expvar-style plain text. Use "127.0.0.1:0" for an ephemeral
-	// port; the bound address is available via Runner.ProgressAddr
-	// while the campaign runs. Serving requires a registered server
-	// (import the progresshttp subpackage); without one the option is
-	// reported on W and ignored.
-	HTTPAddr string
 	// SeriesCap bounds the sampled time-series ring (default
 	// obs.DefaultSeriesCap). The sampler records one point per
 	// Interval; when full the oldest points are dropped.
@@ -53,66 +44,39 @@ type ProgressSnapshot struct {
 	Strategies   []StrategyProgress `json:"strategies,omitempty"`
 }
 
-// MetricsText renders the snapshot in Prometheus exposition format —
-// the /metrics view of the progress endpoint. Strategy labels carry
-// raw spec text (quotes, backslashes, arbitrary UTF-8), so they go
-// through obs.PromLabel rather than %q: Go quoting escapes non-ASCII,
-// which the exposition format forbids, and real scrapers reject it.
-// Each family is emitted contiguously under one # TYPE header, as the
-// format requires.
-func (s ProgressSnapshot) MetricsText() string {
-	var b strings.Builder
-	gauge := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-	gauge("trials_done", "Trials completed so far.")
-	fmt.Fprintf(&b, "trials_done %d\n", s.Done)
-	gauge("trials_total", "Trials in the campaign.")
-	fmt.Fprintf(&b, "trials_total %d\n", s.Total)
-	gauge("trials_per_sec", "Campaign throughput.")
-	fmt.Fprintf(&b, "trials_per_sec %g\n", s.TrialsPerSec)
-	gauge("eta_seconds", "Estimated seconds to completion.")
-	fmt.Fprintf(&b, "eta_seconds %g\n", s.ETASeconds)
-	gauge("outcome_success", "Trials classified success.")
-	fmt.Fprintf(&b, "outcome_success %d\n", s.Success)
-	gauge("outcome_failure1", "Trials classified failure-1.")
-	fmt.Fprintf(&b, "outcome_failure1 %d\n", s.Failure1)
-	gauge("outcome_failure2", "Trials classified failure-2.")
-	fmt.Fprintf(&b, "outcome_failure2 %d\n", s.Failure2)
-	if len(s.Strategies) > 0 {
-		gauge("strategy_done", "Trials completed per strategy.")
-		for _, sp := range s.Strategies {
-			fmt.Fprintf(&b, "strategy_done{strategy=\"%s\"} %d\n", obs.PromLabel(sp.Strategy), sp.Done)
-		}
-		gauge("strategy_success", "Successful trials per strategy.")
-		for _, sp := range s.Strategies {
-			fmt.Fprintf(&b, "strategy_success{strategy=\"%s\"} %d\n", obs.PromLabel(sp.Strategy), sp.Success)
+// WriteProm renders the snapshot in Prometheus exposition format — the
+// /metrics view of a campaign plane. Strategy labels carry raw spec
+// text, which obs.WriteFamily escapes.
+func (s ProgressSnapshot) WriteProm(w io.Writer) error {
+	for _, f := range []struct {
+		name, help string
+		v          obs.PromSample
+	}{
+		{"trials_done", "Trials completed so far.", obs.PromInt(s.Done)},
+		{"trials_total", "Trials in the campaign.", obs.PromInt(s.Total)},
+		{"trials_per_sec", "Campaign throughput.", obs.PromFloat(s.TrialsPerSec)},
+		{"eta_seconds", "Estimated seconds to completion.", obs.PromFloat(s.ETASeconds)},
+		{"outcome_success", "Trials classified success.", obs.PromInt(s.Success)},
+		{"outcome_failure1", "Trials classified failure-1.", obs.PromInt(s.Failure1)},
+		{"outcome_failure2", "Trials classified failure-2.", obs.PromInt(s.Failure2)},
+	} {
+		if err := obs.WriteFamily(w, f.name, "gauge", f.help, f.v); err != nil {
+			return err
 		}
 	}
-	return b.String()
-}
-
-// ProgressFeeds bundles the live views a progress server exposes:
-// Snapshot for the current campaign state (/progress, /metrics) and
-// Series for the sampled time-series window (/timeseries).
-type ProgressFeeds struct {
-	Snapshot func() ProgressSnapshot
-	Series   func() obs.TimeSeriesSnapshot
-}
-
-// progressServer, when registered, serves live snapshots over HTTP.
-// It lives behind a hook (see RegisterProgressServer) so this package
-// never imports net/http: the http package's init-time heap globals
-// would otherwise be marked by every GC cycle of every program linking
-// the experiment harness, which is measurable on the trial hot path.
-var progressServer func(feeds ProgressFeeds, diag io.Writer, addr string) (stop func(), bound string)
-
-// RegisterProgressServer installs the HTTP serving implementation used
-// when ProgressOptions.HTTPAddr is set. The progresshttp subpackage
-// registers itself from init; programs that want the endpoint import
-// it, everything else stays free of net/http.
-func RegisterProgressServer(f func(feeds ProgressFeeds, diag io.Writer, addr string) (stop func(), bound string)) {
-	progressServer = f
+	if len(s.Strategies) == 0 {
+		return nil
+	}
+	done := make([]obs.PromSample, len(s.Strategies))
+	success := make([]obs.PromSample, len(s.Strategies))
+	for i, sp := range s.Strategies {
+		done[i] = obs.PromInt(sp.Done, "strategy", sp.Strategy)
+		success[i] = obs.PromInt(sp.Success, "strategy", sp.Strategy)
+	}
+	if err := obs.WriteFamily(w, "strategy_done", "gauge", "Trials completed per strategy.", done...); err != nil {
+		return err
+	}
+	return obs.WriteFamily(w, "strategy_success", "gauge", "Successful trials per strategy.", success...)
 }
 
 // stratCounters is one strategy's counters. The map of strategies is
@@ -131,17 +95,17 @@ type progressTracker struct {
 	strats   map[string]*stratCounters
 	names    []string // sorted strategy labels
 	series   *obs.TimeSeries
+	// final is the closing snapshot, stored by finish: from then on the
+	// campaign's view stops moving.
+	final atomic.Pointer[ProgressSnapshot]
 
-	opts    ProgressOptions
-	stop    chan struct{}
-	wg      chan struct{}
-	stopSrv func()
-	addr    string
+	opts ProgressOptions
+	stop chan struct{}
+	wg   chan struct{}
 }
 
 // newProgressTracker sizes the tracker from the job list (labels are
-// known up-front) and starts the sampler ticker and optional HTTP
-// endpoint.
+// known up-front) and starts the sampler ticker.
 func newProgressTracker(jobs []trialJob, opts ProgressOptions) *progressTracker {
 	t := &progressTracker{
 		total:  int64(len(jobs)),
@@ -160,9 +124,6 @@ func newProgressTracker(jobs []trialJob, opts ProgressOptions) *progressTracker 
 	}
 	sort.Strings(t.names)
 	t.sample() // t=0 baseline; finish() adds the closing sample
-	if opts.HTTPAddr != "" {
-		t.serveHTTP(opts.HTTPAddr)
-	}
 	interval := opts.Interval
 	if interval <= 0 {
 		interval = time.Second
@@ -282,24 +243,11 @@ func (t *progressTracker) loop(interval time.Duration) {
 	}
 }
 
-// serveHTTP binds the progress endpoint through the registered server.
-// An unregistered server or a bind failure is reported on W (when set)
-// and otherwise ignored: progress reporting must never abort a
-// campaign.
-func (t *progressTracker) serveHTTP(addr string) {
-	if progressServer == nil {
-		if t.opts.W != nil {
-			fmt.Fprintln(t.opts.W, "progress: http endpoint unavailable: no server registered (import the progresshttp package)")
-		}
-		return
-	}
-	t.stopSrv, t.addr = progressServer(ProgressFeeds{Snapshot: t.snapshot, Series: t.Series}, t.opts.W, addr)
-}
-
-// finish stops the ticker and endpoint and emits the final snapshot.
-// The closing sample runs before the endpoint stops, so every campaign
-// — however short — serves at least two points (the t=0 baseline and
-// this one) and the retained series always ends at the final counts.
+// finish stops the ticker, freezes the closing snapshot and emits it.
+// The closing sample runs before the snapshot freezes, so every
+// campaign — however short — retains at least two points (the t=0
+// baseline and this one) and the series always ends at the final
+// counts.
 func (t *progressTracker) finish() {
 	if t == nil {
 		return
@@ -307,18 +255,21 @@ func (t *progressTracker) finish() {
 	close(t.stop)
 	<-t.wg
 	t.sample()
-	if t.stopSrv != nil {
-		t.stopSrv()
-	}
+	final := t.snapshot()
+	t.final.Store(&final)
 	if t.opts.W != nil {
-		fmt.Fprintln(t.opts.W, t.snapshot().Line())
+		fmt.Fprintln(t.opts.W, final.Line())
 	}
 }
 
-// Addr returns the bound HTTP endpoint address ("" when none).
-func (t *progressTracker) Addr() string {
+// view is the tracker's current snapshot, frozen once the campaign has
+// finished; zero for a nil tracker.
+func (t *progressTracker) view() ProgressSnapshot {
 	if t == nil {
-		return ""
+		return ProgressSnapshot{}
 	}
-	return t.addr
+	if f := t.final.Load(); f != nil {
+		return *f
+	}
+	return t.snapshot()
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +29,11 @@ func TestProgressTracker(t *testing.T) {
 		t.Fatalf("strategies = %+v", s.Strategies)
 	}
 
-	text := s.MetricsText()
+	var b strings.Builder
+	if err := s.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
 	for _, want := range []string{
 		"# TYPE trials_done gauge",
 		"# TYPE strategy_success gauge",
@@ -59,7 +64,11 @@ func TestProgressMetricsEscaping(t *testing.T) {
 	s := ProgressSnapshot{Strategies: []StrategyProgress{
 		{Strategy: `rst(disc="ttl\x")` + "\nπ", Done: 1},
 	}}
-	text := s.MetricsText()
+	var b strings.Builder
+	if err := s.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
 	want := `strategy_done{strategy="rst(disc=\"ttl\\x\")\nπ"} 1`
 	if !strings.Contains(text, want) {
 		t.Fatalf("metrics missing %q:\n%s", want, text)
@@ -76,27 +85,6 @@ func TestProgressNoteOutOfRange(t *testing.T) {
 	if s := pt.snapshot(); s.Done != 2 || s.Success != 0 {
 		t.Fatalf("snapshot = %+v", s)
 	}
-}
-
-// TestProgressHTTPUnregistered: this package deliberately never links
-// net/http, so asking for the endpoint without importing the
-// progresshttp package must degrade to a diagnostic, not a crash or an
-// aborted campaign. (The endpoint itself is tested in progresshttp.)
-func TestProgressHTTPUnregistered(t *testing.T) {
-	if progressServer != nil {
-		t.Skip("a progress server is registered in this binary")
-	}
-	var buf bytes.Buffer
-	pt := newProgressTracker([]trialJob{{label: "a"}}, ProgressOptions{
-		Interval: time.Hour, W: &buf, HTTPAddr: "127.0.0.1:0",
-	})
-	if pt.Addr() != "" {
-		t.Fatalf("endpoint bound without a registered server: %s", pt.Addr())
-	}
-	if !strings.Contains(buf.String(), "no server registered") {
-		t.Fatalf("missing diagnostic, got %q", buf.String())
-	}
-	pt.finish()
 }
 
 // TestRunParallelProgress: a campaign with progress enabled reports
@@ -135,7 +123,55 @@ func TestProgressNilSafe(t *testing.T) {
 	var pt *progressTracker
 	pt.note("x", Success)
 	pt.finish()
-	if pt.Addr() != "" {
-		t.Fatal("nil tracker has an address")
+	if v := pt.view(); v.Done != 0 || v.Strategies != nil {
+		t.Fatalf("nil tracker view = %+v", v)
+	}
+}
+
+// TestProgressMetricsGolden pins the campaign /metrics body byte for
+// byte against the exposition captured before obs.WriteFamily took
+// over: integer gauges past 1e6, %g floats, and escaped spec labels.
+func TestProgressMetricsGolden(t *testing.T) {
+	s := ProgressSnapshot{
+		Done: 1234567, Total: 2000000, TrialsPerSec: 2.5e6, ETASeconds: 0.30927,
+		Success: 1000000, Failure1: 200000, Failure2: 34567,
+		Strategies: []StrategyProgress{
+			{Strategy: "a", Done: 2, Success: 1},
+			{Strategy: `q"uo\te` + "\nπ", Done: 1},
+			{Strategy: "on:first-payload[teardown(flags=rst,disc=ttl)]", Done: 5, Success: 5},
+		},
+	}
+	var b strings.Builder
+	if err := s.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/progress.metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("campaign metrics drifted from the golden:\n%s", b.String())
+	}
+}
+
+// TestLiveProgressFreezesAtFinish: the runner's live feed follows a
+// campaign while it runs and holds its closing snapshot afterwards.
+func TestLiveProgressFreezesAtFinish(t *testing.T) {
+	r := NewRunner(42)
+	if v := r.LiveProgress(); v.Total != 0 {
+		t.Fatalf("live progress before any campaign = %+v", v)
+	}
+	r.Progress = &ProgressOptions{Interval: time.Hour}
+	RunTable1Parallel(r, Scale{VPs: 1, Servers: 1, Trials: 1})
+	final, ok := r.FinalProgress()
+	if !ok || final.Done == 0 || final.Done != final.Total {
+		t.Fatalf("final progress = %+v, %v", final, ok)
+	}
+	time.Sleep(time.Millisecond)
+	if live := r.LiveProgress(); live.TrialsPerSec != final.TrialsPerSec || live.Done != final.Done {
+		t.Fatalf("live view moved after finish: %+v vs %+v", live, final)
+	}
+	if len(r.ProgressSeries().Points) < 2 {
+		t.Fatal("finished campaign retained fewer than two samples")
 	}
 }

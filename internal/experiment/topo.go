@@ -101,13 +101,13 @@ func shapeKey(vp VantagePoint, srv Server, hops int) topoKey {
 }
 
 // program returns the compiled Program for a trial: the cached derived
-// linear program, or the parsed Runner.Topo override. Programs are
+// linear program, or the parsed topoSpec override when set. Programs are
 // immutable and shared across the runner's trials and workers; the
 // caches live on the runner, so they are bounded by its population
 // (one derived program per path shape) and die with it.
-func (r *Runner) program(vp VantagePoint, srv Server, hops int) *topo.Program {
-	if r.Topo != "" {
-		return r.overrideProgram(r.Topo)
+func (r *Runner) program(vp VantagePoint, srv Server, topoSpec string, hops int) *topo.Program {
+	if topoSpec != "" {
+		return r.overrideProgram(topoSpec)
 	}
 	key := shapeKey(vp, srv, hops)
 	r.topoMu.RLock()
@@ -163,7 +163,7 @@ func (r *Runner) overrideProgram(text string) *topo.Program {
 // point, server) pair at its measured hop count — what `-what topo`
 // prints. Route dynamics perturb the per-trial shape around this.
 func (r *Runner) TopoSpec(vp VantagePoint, srv Server) topo.Spec {
-	return r.program(vp, srv, srv.Hops).Spec()
+	return r.program(vp, srv, r.Topo, srv.Hops).Spec()
 }
 
 // GraphDemoTopo is the ECMP demonstration topology: two parallel GFW
@@ -208,7 +208,7 @@ func FormatTopoDemo(seed int64) string {
 	r.Topo = GraphDemoTopo
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, seed)[0]
-	rg := r.build(vp, srv, r.Censor, 1, new(trialArena))
+	rg := r.build(vp, srv, r.Topo, r.Censor, 1, new(trialArena))
 	fab, ok := rg.net.(*netem.Fabric)
 	if !ok {
 		return "topo demo: unexpected linear compilation\n"

@@ -99,7 +99,7 @@ func TestDerivedTopoMatchesHandBuilt(t *testing.T) {
 	if reparsed := topo.MustParseTopo(text); reparsed.String() != text {
 		t.Errorf("derived spec does not round-trip:\n%s", text)
 	}
-	rg := r.build(vp, srv, r.Censor, 1, new(trialArena))
+	rg := r.build(vp, srv, r.Topo, r.Censor, 1, new(trialArena))
 	path, ok := rg.net.(*netem.Path)
 	if !ok {
 		t.Fatalf("derived topology compiled to %T, want *netem.Path", rg.net)
@@ -123,7 +123,7 @@ func TestGraphTopoCampaign(t *testing.T) {
 	r := NewRunner(9)
 	r.Topo = GraphDemoTopo
 	srv := Servers(1, r.Cal, 9)[0]
-	rg := r.build(vp, srv, r.Censor, 1, new(trialArena))
+	rg := r.build(vp, srv, r.Topo, r.Censor, 1, new(trialArena))
 	fab, ok := rg.net.(*netem.Fabric)
 	if !ok {
 		t.Fatalf("graph topology compiled to %T, want *netem.Fabric", rg.net)

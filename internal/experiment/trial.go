@@ -95,16 +95,10 @@ type Runner struct {
 	// with censor= in a topology spec.
 	Censor string
 
-	// progressAddr is atomic: callers poll ProgressAddr from other
-	// goroutines while RunParallel is binding the endpoint (the whole
-	// point of a live scrape).
-	progressAddr atomic.Value // string
-	// progressSeries and progressFinal are retained from the tracker
-	// when a progress-enabled RunParallel completes; the health report
-	// builds its throughput curve and final counts from them.
-	progressSeries obs.TimeSeriesSnapshot
-	progressFinal  ProgressSnapshot
-	progressRan    bool
+	// tracker is the progress tracker of the running or most recent
+	// progress-enabled RunParallel. It is atomic because a plane reads
+	// the live feeds from other goroutines while campaigns start.
+	tracker atomic.Pointer[progressTracker]
 
 	poolOnce sync.Once
 	pool     *packet.Pool
@@ -139,25 +133,28 @@ func (r *Runner) PoolStats() packet.PoolStats {
 	return r.pool.Stats()
 }
 
-// ProgressAddr returns the bound address of the live progress HTTP
-// endpoint once RunParallel has started it ("" when none configured).
-// Safe to poll from another goroutine while a campaign runs.
-func (r *Runner) ProgressAddr() string {
-	if v := r.progressAddr.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
-}
+// LiveProgress returns the running campaign's progress snapshot, or
+// the closing one of the most recent progress-enabled RunParallel (zero
+// before any). Safe to call from another goroutine while a campaign
+// runs: it is the /progress and /metrics feed of a campaign plane.
+func (r *Runner) LiveProgress() ProgressSnapshot { return r.tracker.Load().view() }
 
-// ProgressSeries returns the sampled campaign time-series retained
-// from the most recent progress-enabled RunParallel (empty when
-// progress was never configured).
-func (r *Runner) ProgressSeries() obs.TimeSeriesSnapshot { return r.progressSeries }
+// ProgressSeries returns the sampled time-series of the running or most
+// recent progress-enabled RunParallel (empty when progress was never
+// configured). Safe to call concurrently: it is the /timeseries feed.
+func (r *Runner) ProgressSeries() obs.TimeSeriesSnapshot { return r.tracker.Load().Series() }
 
 // FinalProgress returns the closing progress snapshot of the most
 // recent progress-enabled RunParallel; ok is false when progress was
-// never configured.
-func (r *Runner) FinalProgress() (ProgressSnapshot, bool) { return r.progressFinal, r.progressRan }
+// never configured or that campaign is still running.
+func (r *Runner) FinalProgress() (ProgressSnapshot, bool) {
+	if t := r.tracker.Load(); t != nil {
+		if f := t.final.Load(); f != nil {
+			return *f, true
+		}
+	}
+	return ProgressSnapshot{}, false
+}
 
 // NewRunner builds a runner with the default calibration.
 func NewRunner(seed int64) *Runner {
@@ -218,13 +215,14 @@ func (a *trialArena) seed(trialSeed, pairSeed int64) {
 }
 
 // build assembles the (vp, server) substrate for one trial in arena a:
-// derive (or override) the declarative topology, fetch its cached
-// compiled Program, and instantiate it with this trial's RNGs bound
-// through the rig binder, which fills the GFW device slots from
-// censorRef (see trialJob.censor). Measured paths are linear chains
-// and compile to the allocation-free netem.Path; a graph Runner.Topo
-// compiles to a netem.Fabric.
-func (r *Runner) build(vp VantagePoint, srv Server, censorRef string, trialSeed int64, a *trialArena) *rig {
+// derive the declarative topology (or take topoSpec, when set, in its
+// place), fetch its cached compiled Program, and instantiate it with
+// this trial's RNGs bound through the rig binder, which fills the GFW
+// device slots from censorRef (see trialJob.censor). Measured paths are
+// linear chains and compile to the allocation-free netem.Path; a graph
+// topoSpec compiles to a netem.Fabric. Callers pass Runner.Topo unless
+// they shape the topology themselves, as goodput does.
+func (r *Runner) build(vp VantagePoint, srv Server, topoSpec, censorRef string, trialSeed int64, a *trialArena) *rig {
 	a.seed(trialSeed, r.pairSeed(vp, srv))
 	rg := &rig{sim: a.sim}
 	trialRng := rg.sim.Rand()
@@ -245,7 +243,7 @@ func (r *Runner) build(vp VantagePoint, srv Server, censorRef string, trialSeed 
 		hops = 1
 	}
 
-	prog := r.program(vp, srv, hops)
+	prog := r.program(vp, srv, topoSpec, hops)
 	binder := &rigBinder{r: r, vp: vp, censor: censorRef, rg: rg, trialRng: trialRng, pairRng: pairRng}
 	n, err := prog.Instantiate(binder, topo.Options{Sim: rg.sim, Pool: r.packetPool()})
 	if err != nil {
@@ -312,7 +310,7 @@ func (rg *rig) attachObs(b *obs.Obs) {
 // runRig builds one job's rig in arena a and runs it. A nil reg runs
 // uninstrumented (the hot path); see rig.run for what reg and tc add.
 func (r *Runner) runRig(job *trialJob, reg *obs.Registry, tc *trace.Tracer, a *trialArena) (Outcome, *rig, *obs.Recorder) {
-	rg := r.build(job.vp, job.srv, job.censor, r.trialSeed(job.vp, job.srv, job.trial), a)
+	rg := r.build(job.vp, job.srv, r.Topo, job.censor, r.trialSeed(job.vp, job.srv, job.trial), a)
 	out, rec := rg.run(job.srv, job.factory, job.sensitive, reg, tc)
 	return out, rg, rec
 }
@@ -432,6 +430,18 @@ func (job *trialJob) meta(out Outcome) trace.Meta {
 	}
 }
 
+// mustStrategy resolves a strategy reference — a registered name or raw
+// spec text — through core.ResolveStrategy. An unknown reference panics:
+// a sweep under a strategy that does not exist would measure the bare
+// censor and report it under the strategy's name.
+func mustStrategy(ref string) core.Factory {
+	f, _, err := core.ResolveStrategy(ref)
+	if err != nil {
+		panic(fmt.Sprintf("experiment: unknown strategy %q: %v", ref, err))
+	}
+	return f
+}
+
 // RunOne executes a single strategy trial against r.Censor and
 // classifies it.
 func (r *Runner) RunOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) Outcome {
@@ -472,7 +482,7 @@ func fetch(rg *rig, srv Server, sensitive bool) *tcpstack.Conn {
 // Between trials it waits out any active blocklist period, as the
 // paper's methodology did (§3.3).
 func (r *Runner) RunINTANGSeries(vp VantagePoint, srv Server, trials int) []Outcome {
-	rg := r.build(vp, srv, r.Censor, r.pairSeed(vp, srv), new(trialArena))
+	rg := r.build(vp, srv, r.Topo, r.Censor, r.pairSeed(vp, srv), new(trialArena))
 	it := intang.New(rg.sim, rg.net, rg.cli, intang.Options{})
 	it.Engine.Env.InsertionTTL = insertionTTL(srv)
 	if r.Obs != nil {

@@ -47,11 +47,6 @@ type Options struct {
 	// CheckpointEvery is trials between frames (default
 	// experiment.DefaultCheckpointEvery).
 	CheckpointEvery int
-	// HTTPAddr, when non-empty, serves the fleet plane: /shards,
-	// /progress, /metrics, /timeseries, /manifest. Requires a
-	// registered server (import the progresshttp package). Use
-	// "127.0.0.1:0" for an ephemeral port; see Coordinator.Addr.
-	HTTPAddr string
 	// W receives periodic progress lines and diagnostics; nil silences.
 	W io.Writer
 	// Interval is the fleet sampler cadence (default 1s).
@@ -156,8 +151,6 @@ type Coordinator struct {
 	stopFlag atomic.Bool
 	stopMu   sync.Mutex
 	stopErr  error
-
-	addr atomic.Value // string: bound HTTP address
 }
 
 // New plans the campaign and, when Options.Dir is set, reconciles the
@@ -166,8 +159,10 @@ type Coordinator struct {
 // restored to their cursor, and journals with damaged lines are
 // quarantined (the shard restarts from its last good frame, or from
 // scratch when none survives). The runner's own Obs and Progress are
-// not used — every shard runs its own sink, and the coordinator is the
-// progress plane.
+// not used — every shard runs its own sink, and the coordinator's Feeds
+// are the campaign's live views. The campaign clock (throughput, series
+// timestamps) starts here, so the feeds are readable from the moment
+// New returns.
 func New(r *experiment.Runner, sc experiment.Scale, opts Options) (*Coordinator, error) {
 	if opts.Campaign == "" {
 		opts.Campaign = "table1"
@@ -195,6 +190,7 @@ func New(r *experiment.Runner, sc experiment.Scale, opts Options) (*Coordinator,
 			Shards:    PlanShards(cube.Len(), opts.Shards),
 		},
 		strats:      map[string]*stratCount{},
+		start:       time.Now(),
 		fleetSeries: obs.NewTimeSeries(opts.SeriesCap),
 	}
 	c.stratNames = cube.StrategyLabels()
@@ -303,15 +299,6 @@ func (c *Coordinator) restoreShard(sr *shardRun) error {
 	return nil
 }
 
-// Addr returns the bound fleet-plane HTTP address ("" when none).
-// Safe to poll from other goroutines while Run is live.
-func (c *Coordinator) Addr() string {
-	if s, ok := c.addr.Load().(string); ok {
-		return s
-	}
-	return ""
-}
-
 // Plan returns the campaign's shard plan.
 func (c *Coordinator) Plan() Plan { return c.plan }
 
@@ -346,9 +333,7 @@ func (c *Coordinator) stopped() error {
 // uninterrupted serial run — however many kills and resumes happened
 // along the way.
 func (c *Coordinator) Run() (*Result, error) {
-	c.start = time.Now()
 	c.sampleFleet()
-	stopSrv := c.serve()
 	stopSampler := c.startSampler()
 
 	work := make(chan *shardRun)
@@ -379,9 +364,6 @@ func (c *Coordinator) Run() (*Result, error) {
 
 	stopSampler()
 	c.sampleFleet()
-	if stopSrv != nil {
-		stopSrv()
-	}
 	if c.opts.W != nil {
 		fmt.Fprintln(c.opts.W, "fleet: "+c.progress().Line())
 	}
@@ -555,33 +537,15 @@ func (c *Coordinator) seriesView() SeriesView {
 	return v
 }
 
-// feeds bundles the live closures for the fleet server.
-func (c *Coordinator) feeds() Feeds {
+// Feeds returns the live views of the campaign for a plane to serve.
+// They may be read from the moment New returns, concurrently with Run.
+func (c *Coordinator) Feeds() Feeds {
 	return Feeds{
 		Shards:   c.shardsView,
 		Progress: c.progress,
-		Metrics:  func() string { return metricsText(c.progress(), c.shardsView()) },
 		Series:   c.seriesView,
 		Manifest: func() Manifest { return c.manifest },
 	}
-}
-
-// serve binds the fleet plane when configured and a server is
-// registered; like campaign progress serving, failure to bind is
-// reported and ignored — observability must never abort a campaign.
-func (c *Coordinator) serve() (stop func()) {
-	if c.opts.HTTPAddr == "" {
-		return nil
-	}
-	if fleetServer == nil {
-		if c.opts.W != nil {
-			fmt.Fprintln(c.opts.W, "fleet: http plane unavailable: no server registered (import the progresshttp package)")
-		}
-		return nil
-	}
-	stop, bound := fleetServer(c.feeds(), c.opts.W, c.opts.HTTPAddr)
-	c.addr.Store(bound)
-	return stop
 }
 
 // sampleFleet appends one fleet-level sample.

@@ -1,9 +1,8 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
 	"intango/internal/experiment"
 	"intango/internal/obs"
@@ -48,67 +47,53 @@ type SeriesView struct {
 	Shards map[string]obs.TimeSeriesSnapshot `json:"shards"`
 }
 
-// Feeds bundles the live views a fleet server exposes. All closures
-// are safe to call concurrently with the running campaign; they read
-// atomics and mutex-guarded shard fields, never the trial hot path.
+// Feeds bundles the live views of a fleet campaign: /shards,
+// /progress, /timeseries and /manifest, with /metrics rendered from
+// Progress and Shards by WriteMetrics. All closures are safe to call
+// concurrently with the running campaign; they read atomics and
+// mutex-guarded shard fields, never the trial hot path.
 type Feeds struct {
 	Shards   func() ShardsView
 	Progress func() experiment.ProgressSnapshot
-	Metrics  func() string
 	Series   func() SeriesView
 	Manifest func() Manifest
 }
 
-// fleetServer, when registered, serves the fleet plane over HTTP. Like
-// the progress server it lives behind a hook so this package never
-// imports net/http (see experiment.RegisterProgressServer for why).
-var fleetServer func(feeds Feeds, diag io.Writer, addr string) (stop func(), bound string)
-
-// RegisterServer installs the HTTP serving implementation used when
-// Options.HTTPAddr is set. The progresshttp package registers itself
-// from init; programs that want the endpoints import it.
-func RegisterServer(f func(feeds Feeds, diag io.Writer, addr string) (stop func(), bound string)) {
-	fleetServer = f
-}
-
-// metricsText renders the fleet /metrics view: the campaign-level
-// progress families plus fleet rollups and per-shard families carrying
+// WriteMetrics renders the fleet /metrics view: the campaign-level
+// progress families, then fleet rollups and per-shard families carrying
 // a shard label.
-func metricsText(prog experiment.ProgressSnapshot, sv ShardsView) string {
-	var b strings.Builder
-	b.WriteString(prog.MetricsText())
-	gauge := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+func WriteMetrics(w io.Writer, prog experiment.ProgressSnapshot, sv ShardsView) error {
+	if err := prog.WriteProm(w); err != nil {
+		return err
 	}
-	gauge("fleet_shards", "Shards in the campaign plan.")
-	fmt.Fprintf(&b, "fleet_shards %d\n", len(sv.Shards))
-	gauge("fleet_shards_done", "Shards that completed their job range.")
-	fmt.Fprintf(&b, "fleet_shards_done %d\n", sv.ShardsDone)
-	gauge("shard_done", "Trials completed per shard.")
+	var done, success, cursor, frames, age, state []obs.PromSample
 	for _, s := range sv.Shards {
-		fmt.Fprintf(&b, "shard_done{shard=\"%d\"} %d\n", s.ID, s.Done)
-	}
-	gauge("shard_success", "Successful trials per shard.")
-	for _, s := range sv.Shards {
-		fmt.Fprintf(&b, "shard_success{shard=\"%d\"} %d\n", s.ID, s.Success)
-	}
-	gauge("shard_cursor", "Absolute next-job cursor per shard.")
-	for _, s := range sv.Shards {
-		fmt.Fprintf(&b, "shard_cursor{shard=\"%d\"} %d\n", s.ID, s.Cursor)
-	}
-	gauge("shard_frames", "Checkpoint frames journaled per shard.")
-	for _, s := range sv.Shards {
-		fmt.Fprintf(&b, "shard_frames{shard=\"%d\"} %d\n", s.ID, s.Frames)
-	}
-	gauge("shard_last_frame_age_seconds", "Seconds since the shard last journaled a frame.")
-	for _, s := range sv.Shards {
+		id := strconv.Itoa(s.ID)
+		done = append(done, obs.PromInt(s.Done, "shard", id))
+		success = append(success, obs.PromInt(s.Success, "shard", id))
+		cursor = append(cursor, obs.PromInt(int64(s.Cursor), "shard", id))
+		frames = append(frames, obs.PromInt(int64(s.Frames), "shard", id))
 		if s.Frames > 0 {
-			fmt.Fprintf(&b, "shard_last_frame_age_seconds{shard=\"%d\"} %g\n", s.ID, s.LastFrameAgeSec)
+			age = append(age, obs.PromFloat(s.LastFrameAgeSec, "shard", id))
+		}
+		state = append(state, obs.PromInt(1, "shard", id, "state", s.State))
+	}
+	for _, f := range []struct {
+		name, help string
+		samples    []obs.PromSample
+	}{
+		{"fleet_shards", "Shards in the campaign plan.", []obs.PromSample{obs.PromInt(int64(len(sv.Shards)))}},
+		{"fleet_shards_done", "Shards that completed their job range.", []obs.PromSample{obs.PromInt(int64(sv.ShardsDone))}},
+		{"shard_done", "Trials completed per shard.", done},
+		{"shard_success", "Successful trials per shard.", success},
+		{"shard_cursor", "Absolute next-job cursor per shard.", cursor},
+		{"shard_frames", "Checkpoint frames journaled per shard.", frames},
+		{"shard_last_frame_age_seconds", "Seconds since the shard last journaled a frame.", age},
+		{"shard_state", "Shard state machine (1 = current state).", state},
+	} {
+		if err := obs.WriteFamily(w, f.name, "gauge", f.help, f.samples...); err != nil {
+			return err
 		}
 	}
-	gauge("shard_state", "Shard state machine (1 = current state).")
-	for _, s := range sv.Shards {
-		fmt.Fprintf(&b, "shard_state{shard=\"%d\",state=\"%s\"} 1\n", s.ID, obs.PromLabel(s.State))
-	}
-	return b.String()
+	return nil
 }

@@ -446,3 +446,38 @@ func TestManifestProvenance(t *testing.T) {
 		t.Fatal("manifest missing start time")
 	}
 }
+
+// TestWriteMetricsGolden pins the fleet /metrics body byte for byte
+// against the exposition captured before obs.WriteFamily took over:
+// the campaign families, the rollups, a frameless shard with no age
+// sample, and an escaped state label.
+func TestWriteMetricsGolden(t *testing.T) {
+	prog := experiment.ProgressSnapshot{
+		Done: 1234567, Total: 2000000, TrialsPerSec: 2.5e6, ETASeconds: 0.30927,
+		Success: 1000000, Failure1: 200000, Failure2: 34567,
+		Strategies: []experiment.StrategyProgress{
+			{Strategy: "a", Done: 2, Success: 1},
+			{Strategy: `q"uo\te` + "\nπ", Done: 1},
+			{Strategy: "on:first-payload[teardown(flags=rst,disc=ttl)]", Done: 5, Success: 5},
+		},
+	}
+	sv := ShardsView{
+		Campaign: "table1", Total: 40, Done: 13, ShardsDone: 1,
+		Shards: []ShardStatus{
+			{ID: 0, State: "done", JobStart: 0, JobEnd: 10, Cursor: 10, Done: 10, Success: 7, Frames: 2, LastFrameAgeSec: 1.5e7},
+			{ID: 1, State: "running", JobStart: 10, JobEnd: 20, Cursor: 13, Done: 3, Success: 2, Frames: 1, LastFrameAgeSec: 0.125, Resumed: true},
+			{ID: 12, State: `fa"il` + "\\", JobStart: 20, JobEnd: 40, Cursor: 20},
+		},
+	}
+	var b strings.Builder
+	if err := WriteMetrics(&b, prog, sv); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/fleet.metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("fleet metrics drifted from the golden:\n%s", b.String())
+	}
+}

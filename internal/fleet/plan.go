@@ -10,8 +10,9 @@
 // per-shard state machine), aggregated /progress, /metrics (Prometheus
 // exposition with a shard label), /timeseries (per-shard curves
 // stitched across kills), and /manifest (the provenance document tying
-// every artifact to the exact specs that produced it). Serving requires
-// a registered server — import internal/experiment/progresshttp.
+// every artifact to the exact specs that produced it). The package
+// exposes them as Coordinator.Feeds and never links net/http; a binary
+// mounts them on its internal/plane.
 package fleet
 
 import (

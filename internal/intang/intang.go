@@ -176,7 +176,7 @@ func cacheKey(addr packet.Addr) string { return "strategy:" + addr.String() }
 // Unresolvable keys degrade to a passthrough under their own name, as
 // the old registry-miss path did.
 func resolveCandidate(key string) candidate {
-	if f, canon, ok := core.ResolveStrategy(key); ok {
+	if f, canon, err := core.ResolveStrategy(key); err == nil {
 		return candidate{display: key, canon: canon, factory: f}
 	}
 	return candidate{display: key, canon: key,
@@ -242,12 +242,6 @@ func (it *INTANG) reportTimeout(lf *liveFlow) {
 // rotation candidate.
 func (it *INTANG) ChooseStrategy(server packet.Addr) string {
 	return it.chooseCandidate(server).display
-}
-
-// ChooseSpec is ChooseStrategy in canonical spec form — the identity
-// the per-server result cache stores.
-func (it *INTANG) ChooseSpec(server packet.Addr) string {
-	return it.chooseCandidate(server).canon
 }
 
 // chooseCandidate resolves the cached winner (a canonical spec string)

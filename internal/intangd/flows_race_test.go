@@ -13,6 +13,7 @@ import (
 	"intango/internal/device/uis"
 	"intango/internal/intangd"
 	"intango/internal/packet"
+	"intango/internal/plane"
 )
 
 // TestFlowTableConcurrency hammers the sharded table directly:
@@ -108,12 +109,14 @@ func TestProxyConcurrentFlowsWithPlaneScrape(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	cli := uis.New(p.ClientDevice(), uis.Config{Addr: p.ClientAddr(), Seed: 3})
-	stopPlane, bound, err := p.ServePlane("127.0.0.1:0")
+	pl, err := plane.Listen("127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("ServePlane: %v", err)
+		t.Fatalf("plane.Listen: %v", err)
 	}
+	p.Mount(pl)
+	bound := pl.Addr()
 	t.Cleanup(func() {
-		stopPlane()
+		pl.Close()
 		cli.Close()
 		p.Close()
 	})

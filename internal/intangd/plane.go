@@ -1,47 +1,40 @@
 package intangd
 
 import (
-	"encoding/json"
 	"io"
-	"net"
 	"net/http"
 	"strings"
+
+	"intango/internal/plane"
 )
 
-// ServePlane binds addr and serves the daemon's observability plane
-// until stop is called:
+// Mount serves the daemon's observability feeds on pl:
 //
 //	/flows     live flow table (JSON)
 //	/metrics   Prometheus exposition of the daemon's counters
 //	/strategy  GET current; POST ?set=<ref> (or body) to switch
-//	/healthz   liveness
 //
-// The packet path never touches this handler: /flows reads the sharded
-// flow table, /metrics snapshots atomic counters, and only /metrics
-// (to flush the path's event counts) and /strategy briefly take the
-// world lock.
-func (p *Proxy) ServePlane(addr string) (stop func(), bound string, err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", err
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		io.WriteString(w, "ok\n")
-	})
-	mux.HandleFunc("/flows", func(w http.ResponseWriter, _ *http.Request) {
+// (every plane also answers /healthz). The packet path never touches
+// these handlers: /flows reads the sharded flow table, /metrics
+// snapshots atomic counters, and only /metrics (to flush the path's
+// event counts) and /strategy briefly take the world lock.
+func (p *Proxy) Mount(pl *plane.Plane) {
+	pl.Handle("/flows", plane.JSON(func() any {
 		views := p.FlowViews()
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(struct {
+		return struct {
 			Count int        `json:"count"`
 			Flows []FlowView `json:"flows"`
-		}{len(views), views})
+		}{len(views), views}
+	}))
+	pl.Handle("/metrics", plane.Metrics(func(w io.Writer) error {
+		return p.Registry().Snapshot().WriteProm(w, "intangd_")
+	}))
+	current := plane.JSON(func() any {
+		return struct {
+			Strategy string `json:"strategy"`
+		}{p.Strategy()}
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = p.Registry().Snapshot().WriteProm(w, "intangd_")
-	})
-	mux.HandleFunc("/strategy", func(w http.ResponseWriter, r *http.Request) {
+	pl.Handle("/strategy", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
 			ref := r.URL.Query().Get("set")
 			if ref == "" {
@@ -53,12 +46,6 @@ func (p *Proxy) ServePlane(addr string) (stop func(), bound string, err error) {
 				return
 			}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(struct {
-			Strategy string `json:"strategy"`
-		}{p.Strategy()})
-	})
-	srv := &http.Server{Handler: mux}
-	go func() { _ = srv.Serve(ln) }()
-	return func() { _ = srv.Close() }, ln.Addr().String(), nil
+		current(w, r)
+	}))
 }

@@ -208,14 +208,11 @@ func ResolveStrategy(ref string) (string, core.Factory, error) {
 	case "", "none", "pass":
 		return "pass", nil, nil
 	}
-	if f, ok := core.BuiltinFactories()[ref]; ok {
-		return ref, f, nil
-	}
-	spec, err := core.ParseSpec(ref)
+	f, _, err := core.ResolveStrategy(ref)
 	if err != nil {
 		return "", nil, fmt.Errorf("intangd: strategy %q: %w", ref, err)
 	}
-	return ref, spec.FactoryAs(ref), nil
+	return ref, f, nil
 }
 
 // SetStrategy switches the strategy applied to NEW flows; in-flight

@@ -11,6 +11,7 @@ import (
 	"intango/internal/device/uis"
 	"intango/internal/intangd"
 	"intango/internal/packet"
+	"intango/internal/plane"
 )
 
 // testCensor is the measured gfw2017 with every sampled probability
@@ -134,12 +135,13 @@ func TestProxyRegistryFlushesPathCounters(t *testing.T) {
 	if c["intangd.clock-wakes"] == 0 {
 		t.Fatalf("registry after one fetch: the world's clock never woke")
 	}
-	stop, addr, err := p.ServePlane("127.0.0.1:0")
+	pl, err := plane.Listen("127.0.0.1:0")
 	if err != nil {
-		t.Fatalf("ServePlane: %v", err)
+		t.Fatalf("plane.Listen: %v", err)
 	}
-	defer stop()
-	mresp, err := http.Get("http://" + addr + "/metrics")
+	defer pl.Close()
+	p.Mount(pl)
+	mresp, err := http.Get("http://" + pl.Addr() + "/metrics")
 	if err != nil {
 		t.Fatalf("scrape /metrics: %v", err)
 	}

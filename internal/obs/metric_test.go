@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -234,5 +235,53 @@ func TestWriteProm(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("WriteProm missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestWritePromGolden pins the exposition body byte for byte: counters
+// past 2^53 and gauges past 1e6 keep integer form, names are sanitized,
+// and histograms are cumulative. The golden was captured from the
+// hand-written exposition this writer replaced.
+func TestWritePromGolden(t *testing.T) {
+	r := NewRegistry()
+	r.Add("netem.send", 5)
+	r.Add("netem.drop-loss", 1234567)
+	r.Add("9lives", 18446744073709551615)
+	r.SetGauge("intangd.flows-open", -3)
+	r.SetGauge("device.queue", 2500000)
+	for _, v := range []uint64{0, 1, 7, 1000, 5000000} {
+		r.Observe("uis.dial_us", []uint64{1, 10, 1000000}, v)
+	}
+	var b strings.Builder
+	if err := r.Snapshot().WriteProm(&b, "intangd_"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/snapshot.metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("WriteProm drifted from the golden:\n%s", b.String())
+	}
+}
+
+// TestWriteFamily: one header per family, samples contiguous, label
+// values escaped, and a sample-less family still declared.
+func TestWriteFamily(t *testing.T) {
+	var b strings.Builder
+	if err := WriteFamily(&b, "x", "gauge", "Help.",
+		PromInt(3),
+		PromFloat(0.5, "k", `a"b\`+"\n", "j", "π"),
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFamily(&b, "empty", "gauge", "None."); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP x Help.\n# TYPE x gauge\nx 3\n" +
+		`x{k="a\"b\\\n",j="π"} 0.5` + "\n" +
+		"# HELP empty None.\n# TYPE empty gauge\n"
+	if b.String() != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
 	}
 }

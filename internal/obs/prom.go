@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -65,9 +66,56 @@ func PromLabel(s string) string {
 	return b.String()
 }
 
-// promFamily writes one metric family header.
-func promFamily(w io.Writer, name, typ, help string) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+// PromSample is one sample line of a metric family.
+type PromSample struct {
+	// Suffix extends the family name ("_bucket", "_sum", "_count");
+	// empty for a plain counter or gauge sample.
+	Suffix string
+	// Labels alternate label name and raw value; WriteFamily escapes
+	// the values through PromLabel.
+	Labels []string
+	// Value is the formatted sample value.
+	Value string
+}
+
+// PromInt is an integer-valued sample; labels alternate name and raw
+// value.
+func PromInt(v int64, labels ...string) PromSample {
+	return PromSample{Labels: labels, Value: strconv.FormatInt(v, 10)}
+}
+
+// PromFloat is a float-valued sample in shortest %g form; labels
+// alternate name and raw value.
+func PromFloat(v float64, labels ...string) PromSample {
+	return PromSample{Labels: labels, Value: strconv.FormatFloat(v, 'g', -1, 64)}
+}
+
+// WriteFamily writes one metric family in Prometheus text exposition
+// format: its # HELP and # TYPE lines, then every sample contiguously.
+// It is the module's only writer of exposition text, so every /metrics
+// body shares one header shape and one label escaping. A family with no
+// samples still writes its header.
+func WriteFamily(w io.Writer, name, typ, help string, samples ...PromSample) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for _, s := range samples {
+		b.WriteString(name)
+		b.WriteString(s.Suffix)
+		for i := 0; i+1 < len(s.Labels); i += 2 {
+			sep := ","
+			if i == 0 {
+				sep = "{"
+			}
+			fmt.Fprintf(&b, "%s%s=\"%s\"", sep, s.Labels[i], PromLabel(s.Labels[i+1]))
+		}
+		if len(s.Labels) > 1 {
+			b.WriteByte('}')
+		}
+		b.WriteByte(' ')
+		b.WriteString(s.Value)
+		b.WriteByte('\n')
+	}
+	_, err := io.WriteString(w, b.String())
 	return err
 }
 
@@ -77,41 +125,32 @@ func promFamily(w io.Writer, name, typ, help string) error {
 // sanitized through PromName and sorted so output is diff-stable.
 func (s Snapshot) WriteProm(w io.Writer, prefix string) error {
 	for _, k := range s.Keys() {
-		name := PromName(prefix+k) + "_total"
-		if err := promFamily(w, name, "counter", "Counter "+k+"."); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", name, s.Counters[k]); err != nil {
+		v := PromSample{Value: strconv.FormatUint(s.Counters[k], 10)}
+		if err := WriteFamily(w, PromName(prefix+k)+"_total", "counter", "Counter "+k+".", v); err != nil {
 			return err
 		}
 	}
 	for _, k := range sortedKeys(s.Gauges) {
-		name := PromName(prefix + k)
-		if err := promFamily(w, name, "gauge", "Gauge "+k+"."); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s %d\n", name, s.Gauges[k]); err != nil {
+		if err := WriteFamily(w, PromName(prefix+k), "gauge", "Gauge "+k+".", PromInt(s.Gauges[k])); err != nil {
 			return err
 		}
 	}
 	for _, k := range sortedKeys(s.Histograms) {
 		h := s.Histograms[k]
-		name := PromName(prefix + k)
-		if err := promFamily(w, name, "histogram", "Histogram "+k+"."); err != nil {
-			return err
-		}
+		samples := make([]PromSample, 0, len(h.Counts)+2)
 		var cum uint64
 		for i, n := range h.Counts {
 			cum += n
 			le := "+Inf"
 			if i < len(h.Bounds) {
-				le = fmt.Sprintf("%d", h.Bounds[i])
+				le = strconv.FormatUint(h.Bounds[i], 10)
 			}
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum); err != nil {
-				return err
-			}
+			samples = append(samples, PromSample{Suffix: "_bucket", Labels: []string{"le", le}, Value: strconv.FormatUint(cum, 10)})
 		}
-		if _, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, h.Sum, name, h.Count); err != nil {
+		samples = append(samples,
+			PromSample{Suffix: "_sum", Value: strconv.FormatUint(h.Sum, 10)},
+			PromSample{Suffix: "_count", Value: strconv.FormatUint(h.Count, 10)})
+		if err := WriteFamily(w, PromName(prefix+k), "histogram", "Histogram "+k+".", samples...); err != nil {
 			return err
 		}
 	}
